@@ -108,6 +108,14 @@ int Network::fuse_residuals() {
   return fused;
 }
 
+std::string layer_algo_label(const ExecContext& ctx, const Layer& layer) {
+  if (const auto* conv = dynamic_cast<const ConvLayer*>(&layer))
+    return ctx.conv_label ? ctx.conv_label(conv->desc())
+                          : (ctx.conv_backend ? "auto" : "im2col+gemm");
+  if (dynamic_cast<const ConnectedLayer*>(&layer) != nullptr) return "fc";
+  return "aux";
+}
+
 const Tensor& Network::forward(ExecContext& ctx, const Tensor& input) {
   VLACNN_REQUIRE(!layers_.empty(), "empty network");
   VLACNN_REQUIRE(input.c() == in_c_ && input.h() == in_h_ && input.w() == in_w_,
@@ -127,12 +135,7 @@ const Tensor& Network::forward(ExecContext& ctx, const Tensor& input) {
     rec.name = layer->name();
     rec.flops = layer->flops() * input.n();
     rec.items = input.n();
-    if (const auto* conv = dynamic_cast<const ConvLayer*>(layer.get())) {
-      rec.algo = ctx.conv_label ? ctx.conv_label(conv->desc())
-                                : (ctx.conv_backend ? "auto" : "im2col+gemm");
-    } else {
-      rec.algo = "aux";
-    }
+    rec.algo = layer_algo_label(ctx, *layer);
     if (sctx) rec.cycles = sctx->timing().finish() - before;
     ctx.records.push_back(std::move(rec));
   }

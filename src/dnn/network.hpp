@@ -8,6 +8,13 @@
 
 namespace vlacnn::dnn {
 
+/// The backend label a `LayerRecord` carries for `layer`: the compiled
+/// plan's name for a conv (`ctx.conv_label`), "auto" for a conv dispatched
+/// without one, "im2col+gemm" for the default conv path, "fc" for a
+/// connected layer and "aux" for every other layer. The one labelling rule
+/// shared by `Network::forward` and both batch-scheduler executors.
+std::string layer_algo_label(const ExecContext& ctx, const Layer& layer);
+
 /// A feed-forward layer graph with Darknet-style indexed skip connections
 /// (route / shortcut reference earlier layer outputs by index).
 ///

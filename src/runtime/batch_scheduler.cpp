@@ -297,16 +297,6 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
   spec.chunks = pool_.size();
   spec.layers.reserve(net.num_layers());
 
-  // Per-layer backend names come from the engine's compiled plan (every
-  // worker context shares the same plan, so the main context's label
-  // function is authoritative for all of them).
-  const auto algo_of = [this](const dnn::Layer& layer) -> std::string {
-    const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
-    if (conv == nullptr) return "aux";
-    return main_ctx_->conv_label ? main_ctx_->conv_label(conv->desc())
-                                 : "im2col+gemm";
-  };
-
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     dnn::Layer& layer = net.layer(i);
     const int li = static_cast<int>(i);
@@ -350,7 +340,10 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
     L.barrier =
         want_batch_fused || layer.readiness() == dnn::Layer::Readiness::Barrier;
     L.prepare = [lp, ins] { lp->prepare_batch(ins); };
-    const std::string algo = algo_of(layer);
+    // Per-layer backend names come from the engine's compiled plan (every
+    // worker context shares the same plan, so the main context's label
+    // function is authoritative for all of them).
+    const std::string algo = dnn::layer_algo_label(*main_ctx_, layer);
     L.run = [this, lp, ins, algo, li, nb, want_batch_fused, slotp](
                 int begin, int end, int worker, dnn::LayerRecord& rec) {
       dnn::ExecContext& ctx = *worker_ctxs_[static_cast<std::size_t>(worker)];
@@ -438,12 +431,6 @@ void BatchScheduler::execute_serial(Slot& slot) {
     // is a read-only lookup for the rest of the pass.
     engine_->prepare(net);
     records.clear();
-    const auto algo_of = [this](const dnn::Layer& layer) -> std::string {
-      const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
-      if (conv == nullptr) return "aux";
-      return main_ctx_->conv_label ? main_ctx_->conv_label(conv->desc())
-                                   : "im2col+gemm";
-    };
 
     for (std::size_t i = 0; i < net.num_layers(); ++i) {
       dnn::Layer& layer = net.layer(i);
@@ -488,7 +475,7 @@ void BatchScheduler::execute_serial(Slot& slot) {
           rec.name = layer.name();
           rec.flops = layer.flops() * nb;
           rec.items = nb;
-          rec.algo = algo_of(layer) + "+batch";
+          rec.algo = dnn::layer_algo_label(*main_ctx_, layer) + "+batch";
           rec.wall_seconds =
               std::chrono::duration<double>(clock::now() - l0).count();
           records.push_back(std::move(rec));
@@ -517,7 +504,7 @@ void BatchScheduler::execute_serial(Slot& slot) {
         rec.name = layer.name();
         rec.flops = layer.flops() * done_items;
         rec.items = done_items;
-        rec.algo = algo_of(layer);
+        rec.algo = dnn::layer_algo_label(*main_ctx_, layer);
         rec.wall_seconds =
             std::chrono::duration<double>(clock::now() - l0).count();
         records.push_back(std::move(rec));
@@ -555,7 +542,7 @@ void BatchScheduler::execute_serial(Slot& slot) {
       std::vector<dnn::LayerRecord> merged = dnn::merge_layer_records(parts);
       if (!merged.empty()) rec = std::move(merged.front());
       rec.name = layer.name();
-      rec.algo = algo_of(layer);
+      rec.algo = dnn::layer_algo_label(*main_ctx_, layer);
       // The layer barrier waits for the slowest worker: report the span.
       rec.wall_seconds =
           std::chrono::duration<double>(clock::now() - l0).count();

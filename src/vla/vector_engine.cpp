@@ -1,7 +1,6 @@
 #include "vla/vector_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace vlacnn::vla {
 
@@ -22,56 +21,36 @@ VectorEngine::VectorEngine(sim::SimContext& ctx)
   ctx_ = &ctx;
 }
 
-float* VectorEngine::reg(Vreg v) {
-  return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
-}
-const float* VectorEngine::reg(Vreg v) const {
-  return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
-}
-
-void VectorEngine::check_vreg(Vreg v) const {
-  VLACNN_REQUIRE(v >= 0 && v < static_cast<int>(kNumVregs),
-                 "vector register out of range");
+void VectorEngine::bad_vreg() {
+  detail::check_failed("precondition", "v >= 0 && v < kNumVregs", __FILE__,
+                       __LINE__, "vector register out of range");
 }
 void VectorEngine::check_preg(Preg p) const {
   VLACNN_REQUIRE(p >= 0 && p < static_cast<int>(kNumPregs),
                  "predicate register out of range");
 }
 
-void VectorEngine::note_vop(sim::VopClass cls, int dst,
-                            std::initializer_list<int> srcs,
-                            std::size_t elements) {
-  if (ctx_ != nullptr) ctx_->timing().vop(cls, dst, srcs, elements);
-}
-
-void VectorEngine::note_vmem(sim::VopClass cls, int dst,
-                             std::initializer_list<int> srcs,
-                             std::size_t elements, const void* addr,
-                             std::size_t bytes, bool write) {
-  if (ctx_ == nullptr) return;
+void VectorEngine::timed_vmem(sim::VopClass cls, int dst,
+                              std::initializer_list<int> srcs,
+                              std::size_t elements, const void* addr,
+                              std::size_t bytes, bool write) {
   const std::uint64_t sim_addr = sim::AddressMap::instance().translate(addr);
   const sim::MemCost cost = ctx_->memory().vector_access(sim_addr, bytes, write);
   ctx_->timing().vmem(cls, dst, srcs, elements, cost);
 }
 
-void VectorEngine::note_vmem_strided(sim::VopClass cls, int dst,
-                                     const void* base,
-                                     std::ptrdiff_t stride_bytes,
-                                     std::size_t n, bool write) {
-  if (ctx_ == nullptr) return;
+void VectorEngine::timed_vmem_strided(sim::VopClass cls, int dst,
+                                      const void* base,
+                                      std::ptrdiff_t stride_elems,
+                                      std::size_t n, bool write) {
   const std::uint64_t sim_addr = sim::AddressMap::instance().translate(base);
   const sim::MemCost cost = ctx_->memory().vector_access_strided(
-      sim_addr, stride_bytes, 4, n, write);
+      sim_addr, stride_elems * static_cast<std::ptrdiff_t>(sizeof(float)), 4,
+      n, write);
   ctx_->timing().vmem(cls, dst, {}, n, cost);
 }
 
 // ---------------- strip mining / predication ----------------
-
-std::size_t VectorEngine::setvl(std::size_t requested) {
-  gvl_ = std::min(requested, vlmax());
-  note_vop(sim::VopClass::SetVl, -1, {}, 0);
-  return gvl_;
-}
 
 std::size_t VectorEngine::whilelt(Preg p, std::size_t i, std::size_t n) {
   check_preg(p);
@@ -82,7 +61,7 @@ std::size_t VectorEngine::whilelt(Preg p, std::size_t i, std::size_t n) {
     active += pr[l];
   }
   gvl_ = vlmax();  // SVE ops nominally run at full width with predication
-  note_vop(sim::VopClass::SetVl, -1, {}, 0);
+  if (ctx_ != nullptr) ctx_->timing().vop(sim::VopClass::SetVl, -1, {}, 0);
   return active;
 }
 
@@ -91,7 +70,7 @@ void VectorEngine::ptrue(Preg p) {
   std::uint8_t* pr = predfile_.data() + static_cast<std::size_t>(p) * vlmax();
   std::fill(pr, pr + vlmax(), std::uint8_t{1});
   gvl_ = vlmax();
-  note_vop(sim::VopClass::SetVl, -1, {}, 0);
+  if (ctx_ != nullptr) ctx_->timing().vop(sim::VopClass::SetVl, -1, {}, 0);
 }
 
 std::size_t VectorEngine::active_lanes(Preg p) const {
@@ -105,20 +84,6 @@ std::size_t VectorEngine::active_lanes(Preg p) const {
 
 // ---------------- memory ----------------
 
-void VectorEngine::vload(Vreg vd, const float* src) {
-  check_vreg(vd);
-  std::memcpy(reg(vd), src, gvl_ * sizeof(float));
-  count_mem(gvl_ * sizeof(float), false);
-  note_vmem(sim::VopClass::Load, vd, {}, gvl_, src, gvl_ * sizeof(float), false);
-}
-
-void VectorEngine::vstore(Vreg vs, float* dst) {
-  check_vreg(vs);
-  std::memcpy(dst, reg(vs), gvl_ * sizeof(float));
-  count_mem(gvl_ * sizeof(float), true);
-  note_vmem(sim::VopClass::Store, -1, {vs}, gvl_, dst, gvl_ * sizeof(float), true);
-}
-
 void VectorEngine::vload_pred(Vreg vd, Preg p, const float* src) {
   check_vreg(vd);
   check_preg(p);
@@ -131,8 +96,9 @@ void VectorEngine::vload_pred(Vreg vd, Preg p, const float* src) {
     active += pr[l];
   }
   count_mem(active * sizeof(float), false);
-  note_vmem(sim::VopClass::Load, vd, {}, active, src, active * sizeof(float),
-            false);
+  if (ctx_ != nullptr)
+    timed_vmem(sim::VopClass::Load, vd, {}, active, src,
+               active * sizeof(float), false);
 }
 
 void VectorEngine::vstore_pred(Vreg vs, Preg p, float* dst) {
@@ -149,20 +115,9 @@ void VectorEngine::vstore_pred(Vreg vs, Preg p, float* dst) {
     }
   }
   count_mem(active * sizeof(float), true);
-  note_vmem(sim::VopClass::Store, -1, {vs}, active, dst, active * sizeof(float),
-            true);
-}
-
-void VectorEngine::vload_strided(Vreg vd, const float* base,
-                                 std::ptrdiff_t stride_elems) {
-  check_vreg(vd);
-  float* d = reg(vd);
-  for (std::size_t l = 0; l < gvl_; ++l)
-    d[l] = base[static_cast<std::ptrdiff_t>(l) * stride_elems];
-  count_mem(gvl_ * sizeof(float), false);
-  note_vmem_strided(sim::VopClass::Load, vd, base,
-                    stride_elems * static_cast<std::ptrdiff_t>(sizeof(float)),
-                    gvl_, false);
+  if (ctx_ != nullptr)
+    timed_vmem(sim::VopClass::Store, -1, {vs}, active, dst,
+               active * sizeof(float), true);
 }
 
 void VectorEngine::vstore_strided(Vreg vs, float* base,
@@ -172,9 +127,9 @@ void VectorEngine::vstore_strided(Vreg vs, float* base,
   for (std::size_t l = 0; l < gvl_; ++l)
     base[static_cast<std::ptrdiff_t>(l) * stride_elems] = s[l];
   count_mem(gvl_ * sizeof(float), true);
-  note_vmem_strided(sim::VopClass::Store, -1, base,
-                    stride_elems * static_cast<std::ptrdiff_t>(sizeof(float)),
-                    gvl_, true);
+  if (ctx_ != nullptr)
+    timed_vmem_strided(sim::VopClass::Store, -1, base, stride_elems, gvl_,
+                       true);
 }
 
 void VectorEngine::vgather(Vreg vd, const float* base,
@@ -213,42 +168,30 @@ void for_each_run(const std::int32_t* indices, std::size_t n, Fn&& fn) {
 }
 }  // namespace
 
-void VectorEngine::vgather_local(Vreg vd, const float* base,
-                                 const std::int32_t* indices) {
-  check_vreg(vd);
-  float* d = reg(vd);
-  for (std::size_t l = 0; l < gvl_; ++l) d[l] = base[indices[l]];
-  count_mem(gvl_ * sizeof(float), false);
-  if (ctx_ != nullptr) {
-    sim::MemCost total;
-    for_each_run(indices, gvl_, [&](std::int32_t first, std::size_t count) {
-      const std::uint64_t a =
-          sim::AddressMap::instance().translate(base + first);
-      total += ctx_->memory().vector_access(a, count * sizeof(float), false);
-    });
-    total.serial_cycles = 4 + (total.lines > 0 ? total.lines - 1 : 0);
-    ctx_->timing().vmem(sim::VopClass::Load, vd, {}, gvl_, total);
-    ctx_->timing().vop(sim::VopClass::Permute, vd, {vd}, gvl_);
-  }
+void VectorEngine::timed_gather_local(Vreg vd, const float* base,
+                                      const std::int32_t* indices,
+                                      std::size_t n) {
+  sim::MemCost total;
+  for_each_run(indices, n, [&](std::int32_t first, std::size_t count) {
+    const std::uint64_t a = sim::AddressMap::instance().translate(base + first);
+    total += ctx_->memory().vector_access(a, count * sizeof(float), false);
+  });
+  total.serial_cycles = 4 + (total.lines > 0 ? total.lines - 1 : 0);
+  ctx_->timing().vmem(sim::VopClass::Load, vd, {}, n, total);
+  ctx_->timing().vop(sim::VopClass::Permute, vd, {vd}, n);
 }
 
-void VectorEngine::vscatter_local(Vreg vs, float* base,
-                                  const std::int32_t* indices) {
-  check_vreg(vs);
-  const float* s = reg(vs);
-  for (std::size_t l = 0; l < gvl_; ++l) base[indices[l]] = s[l];
-  count_mem(gvl_ * sizeof(float), true);
-  if (ctx_ != nullptr) {
-    ctx_->timing().vop(sim::VopClass::Permute, vs, {vs}, gvl_);
-    sim::MemCost total;
-    for_each_run(indices, gvl_, [&](std::int32_t first, std::size_t count) {
-      const std::uint64_t a =
-          sim::AddressMap::instance().translate(base + first);
-      total += ctx_->memory().vector_access(a, count * sizeof(float), true);
-    });
-    total.serial_cycles = 4 + (total.lines > 0 ? total.lines - 1 : 0);
-    ctx_->timing().vmem(sim::VopClass::Store, -1, {vs}, gvl_, total);
-  }
+void VectorEngine::timed_scatter_local(Vreg vs, float* base,
+                                       const std::int32_t* indices,
+                                       std::size_t n) {
+  ctx_->timing().vop(sim::VopClass::Permute, vs, {vs}, n);
+  sim::MemCost total;
+  for_each_run(indices, n, [&](std::int32_t first, std::size_t count) {
+    const std::uint64_t a = sim::AddressMap::instance().translate(base + first);
+    total += ctx_->memory().vector_access(a, count * sizeof(float), true);
+  });
+  total.serial_cycles = 4 + (total.lines > 0 ? total.lines - 1 : 0);
+  ctx_->timing().vmem(sim::VopClass::Store, -1, {vs}, n, total);
 }
 
 void VectorEngine::vscatter(Vreg vs, float* base, const std::int32_t* indices) {
@@ -268,8 +211,8 @@ void VectorEngine::vscatter(Vreg vs, float* base, const std::int32_t* indices) {
   }
 }
 
-void VectorEngine::prefetch(const void* addr, std::size_t bytes, int level) {
-  if (ctx_ == nullptr) return;
+void VectorEngine::timed_prefetch(const void* addr, std::size_t bytes,
+                                  int level) {
   // The instruction itself occupies an issue slot even when it is a no-op
   // (paper §IV-A: gem5 treats SVE prefetches as no-ops but still decodes
   // them; RVV builds simply have no such instruction emitted).
@@ -280,78 +223,8 @@ void VectorEngine::prefetch(const void* addr, std::size_t bytes, int level) {
 
 // ---------------- arithmetic ----------------
 
-void VectorEngine::vbroadcast(Vreg vd, float x) {
-  check_vreg(vd);
-  float* d = reg(vd);
-  std::fill(d, d + gvl_, x);
-  note_vop(sim::VopClass::Broadcast, vd, {}, gvl_);
-}
-
-#define VLACNN_DEFINE_BINOP(NAME, EXPR)                            \
-  void VectorEngine::NAME(Vreg vd, Vreg va, Vreg vb) {             \
-    check_vreg(vd);                                                \
-    check_vreg(va);                                                \
-    check_vreg(vb);                                                \
-    float* d = reg(vd);                                            \
-    const float* a = reg(va);                                      \
-    const float* b = reg(vb);                                      \
-    for (std::size_t l = 0; l < gvl_; ++l) d[l] = (EXPR);          \
-    note_vop(sim::VopClass::Arith, vd, {va, vb}, gvl_);            \
-  }
-
-VLACNN_DEFINE_BINOP(vadd, a[l] + b[l])
-VLACNN_DEFINE_BINOP(vsub, a[l] - b[l])
-VLACNN_DEFINE_BINOP(vmul, a[l] * b[l])
-VLACNN_DEFINE_BINOP(vdiv, a[l] / b[l])
-VLACNN_DEFINE_BINOP(vmax, std::max(a[l], b[l]))
-VLACNN_DEFINE_BINOP(vmin, std::min(a[l], b[l]))
-#undef VLACNN_DEFINE_BINOP
-
-void VectorEngine::vfma(Vreg vacc, Vreg va, Vreg vb) {
-  check_vreg(vacc);
-  check_vreg(va);
-  check_vreg(vb);
-  float* acc = reg(vacc);
-  const float* a = reg(va);
-  const float* b = reg(vb);
-  for (std::size_t l = 0; l < gvl_; ++l) acc[l] += a[l] * b[l];
-  note_vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, gvl_);
-}
-
-void VectorEngine::vfma_scalar(Vreg vacc, float a, Vreg vb) {
-  check_vreg(vacc);
-  check_vreg(vb);
-  float* acc = reg(vacc);
-  const float* b = reg(vb);
-  for (std::size_t l = 0; l < gvl_; ++l) acc[l] += a * b[l];
-  note_vop(sim::VopClass::Fma, vacc, {vacc, vb}, gvl_);
-}
-
-void VectorEngine::vadd_scalar(Vreg vd, Vreg va, float b) {
-  check_vreg(vd);
-  check_vreg(va);
-  float* d = reg(vd);
-  const float* a = reg(va);
-  for (std::size_t l = 0; l < gvl_; ++l) d[l] = a[l] + b;
-  note_vop(sim::VopClass::Arith, vd, {va}, gvl_);
-}
-
-void VectorEngine::vmul_scalar(Vreg vd, Vreg va, float b) {
-  check_vreg(vd);
-  check_vreg(va);
-  float* d = reg(vd);
-  const float* a = reg(va);
-  for (std::size_t l = 0; l < gvl_; ++l) d[l] = a[l] * b;
-  note_vop(sim::VopClass::Arith, vd, {va}, gvl_);
-}
-
-void VectorEngine::vmax_scalar(Vreg vd, Vreg va, float b) {
-  check_vreg(vd);
-  check_vreg(va);
-  float* d = reg(vd);
-  const float* a = reg(va);
-  for (std::size_t l = 0; l < gvl_; ++l) d[l] = std::max(a[l], b);
-  note_vop(sim::VopClass::Arith, vd, {va}, gvl_);
+void VectorEngine::vdiv(Vreg vd, Vreg va, Vreg vb) {
+  binop(vd, va, vb, [](float a, float b) { return a / b; });
 }
 
 void VectorEngine::vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb) {
@@ -371,7 +244,8 @@ void VectorEngine::vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb) {
       ++active;
     }
   }
-  note_vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, active);
+  if (ctx_ != nullptr)
+    ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, active);
 }
 
 void VectorEngine::vfma_scalar_pred(Vreg vacc, Preg p, float a, Vreg vb) {
@@ -389,7 +263,8 @@ void VectorEngine::vfma_scalar_pred(Vreg vacc, Preg p, float a, Vreg vb) {
       ++active;
     }
   }
-  note_vop(sim::VopClass::Fma, vacc, {vacc, vb}, active);
+  if (ctx_ != nullptr)
+    ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, vb}, active);
 }
 
 float VectorEngine::vredsum(Vreg v) {
@@ -397,7 +272,7 @@ float VectorEngine::vredsum(Vreg v) {
   const float* s = reg(v);
   float sum = 0.0f;
   for (std::size_t l = 0; l < gvl_; ++l) sum += s[l];
-  note_vop(sim::VopClass::Reduce, -1, {v}, gvl_);
+  if (ctx_ != nullptr) ctx_->timing().vop(sim::VopClass::Reduce, -1, {v}, gvl_);
   return sum;
 }
 
@@ -406,7 +281,7 @@ float VectorEngine::vredmax(Vreg v) {
   const float* s = reg(v);
   float m = s[0];
   for (std::size_t l = 1; l < gvl_; ++l) m = std::max(m, s[l]);
-  note_vop(sim::VopClass::Reduce, -1, {v}, gvl_);
+  if (ctx_ != nullptr) ctx_->timing().vop(sim::VopClass::Reduce, -1, {v}, gvl_);
   return m;
 }
 
@@ -423,7 +298,8 @@ void VectorEngine::vpermute(Vreg vd, Vreg vs, const std::int32_t* idx) {
                    "permute index out of register bounds");
     d[l] = s[idx[l]];
   }
-  note_vop(sim::VopClass::Permute, vd, {vs}, gvl_);
+  if (ctx_ != nullptr)
+    ctx_->timing().vop(sim::VopClass::Permute, vd, {vs}, gvl_);
 }
 
 void VectorEngine::vzip_lo(Vreg vd, Vreg va, Vreg vb) {
@@ -439,7 +315,8 @@ void VectorEngine::vzip_lo(Vreg vd, Vreg va, Vreg vb) {
     d[2 * l] = a[l];
     d[2 * l + 1] = b[l];
   }
-  note_vop(sim::VopClass::Permute, vd, {va, vb}, gvl_);
+  if (ctx_ != nullptr)
+    ctx_->timing().vop(sim::VopClass::Permute, vd, {va, vb}, gvl_);
 }
 
 void VectorEngine::vzip_hi(Vreg vd, Vreg va, Vreg vb) {
@@ -455,18 +332,14 @@ void VectorEngine::vzip_hi(Vreg vd, Vreg va, Vreg vb) {
     d[2 * l] = a[half + l];
     d[2 * l + 1] = b[half + l];
   }
-  note_vop(sim::VopClass::Permute, vd, {va, vb}, gvl_);
+  if (ctx_ != nullptr)
+    ctx_->timing().vop(sim::VopClass::Permute, vd, {va, vb}, gvl_);
 }
 
 // ---------------- scalar accounting / test access ----------------
 
-void VectorEngine::scalar_ops(std::uint64_t n) {
-  if (ctx_ != nullptr) ctx_->timing().scalar(n);
-}
-
-void VectorEngine::scalar_mem(const void* addr, std::size_t bytes, bool write) {
-  count_mem(bytes, write);
-  if (ctx_ == nullptr) return;
+void VectorEngine::timed_scalar_mem(const void* addr, std::size_t bytes,
+                                    bool write) {
   const std::uint64_t sim_addr = sim::AddressMap::instance().translate(addr);
   ctx_->timing().scalar_mem(ctx_->memory().scalar_access(sim_addr, bytes, write));
 }

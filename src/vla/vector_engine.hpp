@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -29,6 +30,25 @@ using Preg = int;
 /// `sim::SimContext` is attached, each operation additionally feeds the
 /// scoreboard timing model and the cache hierarchy, so the same kernel code
 /// yields both numerics and simulated cycles.
+///
+/// Functional vs instrumented path. The ops the GEMM, Winograd, im2col and
+/// epilogue kernels issue per inner-loop step (setvl, unit-stride and strided
+/// load/store, broadcast, the FMAs and element-wise arithmetic, the local
+/// gather/scatter, prefetch and the scalar accounting) are defined in this
+/// header, so they inline into the kernels: the register range check, the
+/// lane loop and the functional traffic count stay inline, and all simulator
+/// bookkeeping sits behind a single `ctx_ != nullptr` test, as out-of-line
+/// calls (the timing model's own entry points, or a private `timed_*`
+/// helper where an address must be translated first). A functional engine
+/// thus pays one predictable branch per op instead of a call; an
+/// instrumented engine issues the same timing/memory events in the same
+/// order as before. The remaining ops (predicated, gather/scatter,
+/// reductions, permutes) are out of line.
+///
+/// Inlining exposes `acc += a * b` to the kernels' optimizer, which may
+/// contract it into a fused multiply-add and change the rounding. The
+/// library therefore builds with `-ffp-contract=off` (root CMakeLists.txt),
+/// keeping the fp32 paths 0-ulp against the sequential reference.
 class VectorEngine {
  public:
   static constexpr unsigned kNumVregs = 32;
@@ -48,7 +68,12 @@ class VectorEngine {
 
   /// `vsetvl`: returns the granted vector length min(requested, VLMAX) and
   /// makes it the implicit element count of subsequent unpredicated ops.
-  std::size_t setvl(std::size_t requested);
+  std::size_t setvl(std::size_t requested) {
+    gvl_ = std::min(requested, vlmax());
+    if (ctx_ != nullptr) [[unlikely]]
+      ctx_->timing().vop(sim::VopClass::SetVl, -1, {}, 0);
+    return gvl_;
+  }
   [[nodiscard]] std::size_t gvl() const { return gvl_; }
 
   // ---------------- SVE-style predication ----------------
@@ -62,15 +87,44 @@ class VectorEngine {
   // ---------------- memory operations ----------------
 
   /// Unit-stride load of gvl() elements.
-  void vload(Vreg vd, const float* src);
+  void vload(Vreg vd, const float* src) {
+    check_vreg(vd);
+    const std::size_t n = gvl_;
+    float* __restrict d = reg(vd);
+    const float* __restrict s = src;
+    for (std::size_t l = 0; l < n; ++l) d[l] = s[l];
+    count_mem(n * sizeof(float), false);
+    if (ctx_ != nullptr) [[unlikely]]
+      timed_vmem(sim::VopClass::Load, vd, {}, n, src, n * sizeof(float), false);
+  }
   /// Unit-stride store of gvl() elements.
-  void vstore(Vreg vs, float* dst);
+  void vstore(Vreg vs, float* dst) {
+    check_vreg(vs);
+    const std::size_t n = gvl_;
+    const float* __restrict s = reg(vs);
+    float* __restrict d = dst;
+    for (std::size_t l = 0; l < n; ++l) d[l] = s[l];
+    count_mem(n * sizeof(float), true);
+    if (ctx_ != nullptr) [[unlikely]]
+      timed_vmem(sim::VopClass::Store, -1, {vs}, n, dst, n * sizeof(float),
+                 true);
+  }
   /// Predicated unit-stride load/store (SVE): inactive lanes are zeroed /
   /// skipped.
   void vload_pred(Vreg vd, Preg p, const float* src);
   void vstore_pred(Vreg vs, Preg p, float* dst);
   /// Strided load/store (stride in elements); gvl() elements.
-  void vload_strided(Vreg vd, const float* base, std::ptrdiff_t stride_elems);
+  void vload_strided(Vreg vd, const float* base, std::ptrdiff_t stride_elems) {
+    check_vreg(vd);
+    const std::size_t n = gvl_;
+    float* __restrict d = reg(vd);
+    const float* __restrict s = base;
+    for (std::size_t l = 0; l < n; ++l)
+      d[l] = s[static_cast<std::ptrdiff_t>(l) * stride_elems];
+    count_mem(n * sizeof(float), false);
+    if (ctx_ != nullptr) [[unlikely]]
+      timed_vmem_strided(sim::VopClass::Load, vd, base, stride_elems, n, false);
+  }
   void vstore_strided(Vreg vs, float* base, std::ptrdiff_t stride_elems);
   /// Gather / scatter with per-element indices (in elements from base).
   void vgather(Vreg vd, const float* base, const std::int32_t* indices);
@@ -82,31 +136,98 @@ class VectorEngine {
   /// identical to vgather/vscatter; billed as one unit-stride access over
   /// the touched footprint plus an in-register permute, instead of
   /// per-element address generation.
-  void vgather_local(Vreg vd, const float* base, const std::int32_t* indices);
-  void vscatter_local(Vreg vs, float* base, const std::int32_t* indices);
+  void vgather_local(Vreg vd, const float* base, const std::int32_t* indices) {
+    check_vreg(vd);
+    const std::size_t n = gvl_;
+    float* __restrict d = reg(vd);
+    const float* __restrict s = base;
+    for (std::size_t l = 0; l < n; ++l) d[l] = s[indices[l]];
+    count_mem(n * sizeof(float), false);
+    if (ctx_ != nullptr) [[unlikely]]
+      timed_gather_local(vd, base, indices, n);
+  }
+  void vscatter_local(Vreg vs, float* base, const std::int32_t* indices) {
+    check_vreg(vs);
+    const std::size_t n = gvl_;
+    const float* __restrict s = reg(vs);
+    float* __restrict d = base;
+    for (std::size_t l = 0; l < n; ++l) d[indices[l]] = s[l];
+    count_mem(n * sizeof(float), true);
+    if (ctx_ != nullptr) [[unlikely]]
+      timed_scatter_local(vs, base, indices, n);
+  }
 
   /// Software prefetch hint (level 1 = L1, 2 = L2). Honoured only on
   /// machines with `sw_prefetch_effective` (paper §IV-A).
-  void prefetch(const void* addr, std::size_t bytes, int level);
+  void prefetch(const void* addr, std::size_t bytes, int level) {
+    if (ctx_ != nullptr) [[unlikely]]
+      timed_prefetch(addr, bytes, level);
+  }
 
   // ---------------- arithmetic ----------------
+  //
+  // Register operands may name the same register (`vadd(u, u, b)`), so the
+  // lane pointers of register-register ops are not `__restrict`.
 
-  void vbroadcast(Vreg vd, float x);
+  void vbroadcast(Vreg vd, float x) {
+    check_vreg(vd);
+    const std::size_t n = gvl_;
+    float* __restrict d = reg(vd);
+    for (std::size_t l = 0; l < n; ++l) d[l] = x;
+    if (ctx_ != nullptr) [[unlikely]]
+      ctx_->timing().vop(sim::VopClass::Broadcast, vd, {}, n);
+  }
   /// vd[i] = a[i] + b[i], etc. All use gvl() elements.
-  void vadd(Vreg vd, Vreg va, Vreg vb);
-  void vsub(Vreg vd, Vreg va, Vreg vb);
-  void vmul(Vreg vd, Vreg va, Vreg vb);
+  void vadd(Vreg vd, Vreg va, Vreg vb) {
+    binop(vd, va, vb, [](float a, float b) { return a + b; });
+  }
+  void vsub(Vreg vd, Vreg va, Vreg vb) {
+    binop(vd, va, vb, [](float a, float b) { return a - b; });
+  }
+  void vmul(Vreg vd, Vreg va, Vreg vb) {
+    binop(vd, va, vb, [](float a, float b) { return a * b; });
+  }
   void vdiv(Vreg vd, Vreg va, Vreg vb);
-  void vmax(Vreg vd, Vreg va, Vreg vb);
-  void vmin(Vreg vd, Vreg va, Vreg vb);
+  void vmax(Vreg vd, Vreg va, Vreg vb) {
+    binop(vd, va, vb, [](float a, float b) { return std::max(a, b); });
+  }
+  void vmin(Vreg vd, Vreg va, Vreg vb) {
+    binop(vd, va, vb, [](float a, float b) { return std::min(a, b); });
+  }
   /// vacc[i] += va[i] * vb[i]   (vfmacc.vv)
-  void vfma(Vreg vacc, Vreg va, Vreg vb);
+  void vfma(Vreg vacc, Vreg va, Vreg vb) {
+    check_vreg(vacc);
+    check_vreg(va);
+    check_vreg(vb);
+    const std::size_t n = gvl_;
+    float* acc = reg(vacc);
+    const float* a = reg(va);
+    const float* b = reg(vb);
+    for (std::size_t l = 0; l < n; ++l) acc[l] += a[l] * b[l];
+    if (ctx_ != nullptr) [[unlikely]]
+      ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, n);
+  }
   /// vacc[i] += a * vb[i]       (vfmacc.vf — vector-scalar FMA; the compiler
   /// pattern the paper relies on to avoid explicit broadcasts)
-  void vfma_scalar(Vreg vacc, float a, Vreg vb);
-  void vadd_scalar(Vreg vd, Vreg va, float b);
-  void vmul_scalar(Vreg vd, Vreg va, float b);
-  void vmax_scalar(Vreg vd, Vreg va, float b);
+  void vfma_scalar(Vreg vacc, float a, Vreg vb) {
+    check_vreg(vacc);
+    check_vreg(vb);
+    const std::size_t n = gvl_;
+    float* acc = reg(vacc);
+    const float* b = reg(vb);
+    for (std::size_t l = 0; l < n; ++l) acc[l] += a * b[l];
+    if (ctx_ != nullptr) [[unlikely]]
+      ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, vb}, n);
+  }
+  void vadd_scalar(Vreg vd, Vreg va, float b) {
+    map_lanes(vd, va, [b](float a) { return a + b; });
+  }
+  void vmul_scalar(Vreg vd, Vreg va, float b) {
+    map_lanes(vd, va, [b](float a) { return a * b; });
+  }
+  void vmax_scalar(Vreg vd, Vreg va, float b) {
+    map_lanes(vd, va, [b](float a) { return std::max(a, b); });
+  }
   /// Predicated FMA (SVE): only active lanes update.
   void vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb);
   void vfma_scalar_pred(Vreg vacc, Preg p, float a, Vreg vb);
@@ -128,9 +249,16 @@ class VectorEngine {
 
   /// Charges `n` scalar bookkeeping operations (loop control, address
   /// arithmetic) to the scalar pipe. No functional effect.
-  void scalar_ops(std::uint64_t n);
+  void scalar_ops(std::uint64_t n) {
+    if (ctx_ != nullptr) [[unlikely]]
+      ctx_->timing().scalar(n);
+  }
   /// Charges a scalar load/store of `bytes` at `addr`.
-  void scalar_mem(const void* addr, std::size_t bytes, bool write);
+  void scalar_mem(const void* addr, std::size_t bytes, bool write) {
+    count_mem(bytes, write);
+    if (ctx_ != nullptr) [[unlikely]]
+      timed_scalar_mem(addr, bytes, write);
+  }
 
   // ---------------- traffic accounting ----------------
 
@@ -158,18 +286,60 @@ class VectorEngine {
   void set_lane(Vreg v, std::size_t i, float x);
 
  private:
-  float* reg(Vreg v);
-  const float* reg(Vreg v) const;
-  void check_vreg(Vreg v) const;
+  float* reg(Vreg v) {
+    return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
+  }
+  const float* reg(Vreg v) const {
+    return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
+  }
+  void check_vreg(Vreg v) const {
+    if (v < 0 || v >= static_cast<int>(kNumVregs)) [[unlikely]]
+      bad_vreg();
+  }
+  [[noreturn]] static void bad_vreg();
   void check_preg(Preg p) const;
-  void note_vop(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
-                std::size_t elements);
-  void note_vmem(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
-                 std::size_t elements, const void* addr, std::size_t bytes,
-                 bool write);
-  void note_vmem_strided(sim::VopClass cls, int dst, const void* base,
-                         std::ptrdiff_t stride_bytes, std::size_t n,
-                         bool write);
+
+  /// d[l] = op(a[l], b[l]) over gvl() lanes, billed as one Arith op.
+  template <typename Op>
+  void binop(Vreg vd, Vreg va, Vreg vb, Op op) {
+    check_vreg(vd);
+    check_vreg(va);
+    check_vreg(vb);
+    const std::size_t n = gvl_;
+    float* d = reg(vd);
+    const float* a = reg(va);
+    const float* b = reg(vb);
+    for (std::size_t l = 0; l < n; ++l) d[l] = op(a[l], b[l]);
+    if (ctx_ != nullptr) [[unlikely]]
+      ctx_->timing().vop(sim::VopClass::Arith, vd, {va, vb}, n);
+  }
+  /// d[l] = op(a[l]) over gvl() lanes, billed as one Arith op.
+  template <typename Op>
+  void map_lanes(Vreg vd, Vreg va, Op op) {
+    check_vreg(vd);
+    check_vreg(va);
+    const std::size_t n = gvl_;
+    float* d = reg(vd);
+    const float* a = reg(va);
+    for (std::size_t l = 0; l < n; ++l) d[l] = op(a[l]);
+    if (ctx_ != nullptr) [[unlikely]]
+      ctx_->timing().vop(sim::VopClass::Arith, vd, {va}, n);
+  }
+
+  // Simulator bookkeeping that translates addresses: called only with a
+  // SimContext attached.
+  void timed_vmem(sim::VopClass cls, int dst, std::initializer_list<int> srcs,
+                  std::size_t elements, const void* addr, std::size_t bytes,
+                  bool write);
+  void timed_vmem_strided(sim::VopClass cls, int dst, const void* base,
+                          std::ptrdiff_t stride_elems, std::size_t n,
+                          bool write);
+  void timed_gather_local(Vreg vd, const float* base,
+                          const std::int32_t* indices, std::size_t n);
+  void timed_scatter_local(Vreg vs, float* base, const std::int32_t* indices,
+                           std::size_t n);
+  void timed_prefetch(const void* addr, std::size_t bytes, int level);
+  void timed_scalar_mem(const void* addr, std::size_t bytes, bool write);
 
   /// Counts `bytes` toward the functional traffic totals.
   void count_mem(std::size_t bytes, bool write) {

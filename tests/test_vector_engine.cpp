@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
@@ -253,6 +255,38 @@ TEST_P(VectorEngineTest, RegisterBoundsChecked) {
   EXPECT_THROW(eng.vbroadcast(32, 0.0f), InvalidArgument);
   EXPECT_THROW(eng.vbroadcast(-1, 0.0f), InvalidArgument);
   EXPECT_THROW(eng.whilelt(16, 0, 1), InvalidArgument);
+
+  // Every header-inline op keeps its range check: each register operand,
+  // one bad at a time, on both sides of the range.
+  std::vector<float> buf(eng.vlmax(), 1.0f);
+  std::vector<std::int32_t> idx(eng.vlmax(), 0);
+  for (const Vreg bad : {-1, 32}) {
+    EXPECT_THROW(eng.vload(bad, buf.data()), InvalidArgument);
+    EXPECT_THROW(eng.vstore(bad, buf.data()), InvalidArgument);
+    EXPECT_THROW(eng.vload_strided(bad, buf.data(), 1), InvalidArgument);
+    EXPECT_THROW(eng.vgather_local(bad, buf.data(), idx.data()),
+                 InvalidArgument);
+    EXPECT_THROW(eng.vscatter_local(bad, buf.data(), idx.data()),
+                 InvalidArgument);
+    for (const auto& [d, a, b] : {std::tuple{bad, 0, 1}, std::tuple{0, bad, 1},
+                                  std::tuple{0, 1, bad}}) {
+      EXPECT_THROW(eng.vadd(d, a, b), InvalidArgument);
+      EXPECT_THROW(eng.vsub(d, a, b), InvalidArgument);
+      EXPECT_THROW(eng.vmul(d, a, b), InvalidArgument);
+      EXPECT_THROW(eng.vmax(d, a, b), InvalidArgument);
+      EXPECT_THROW(eng.vmin(d, a, b), InvalidArgument);
+      EXPECT_THROW(eng.vfma(d, a, b), InvalidArgument);
+    }
+    for (const auto& [d, a] : {std::pair{bad, 0}, std::pair{0, bad}}) {
+      EXPECT_THROW(eng.vfma_scalar(d, 1.0f, a), InvalidArgument);
+      EXPECT_THROW(eng.vadd_scalar(d, a, 1.0f), InvalidArgument);
+      EXPECT_THROW(eng.vmul_scalar(d, a, 1.0f), InvalidArgument);
+      EXPECT_THROW(eng.vmax_scalar(d, a, 1.0f), InvalidArgument);
+    }
+  }
+  // A rejected op has no side effects on memory.
+  for (float x : buf) EXPECT_EQ(x, 1.0f);
+  EXPECT_EQ(eng.mem_bytes_moved(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(VectorLengths, VectorEngineTest,

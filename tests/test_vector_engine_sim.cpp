@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "gemm/gemm_opt6.hpp"
+#include "gemm/packed_weight_cache.hpp"
 #include "sim/sim_context.hpp"
 #include "test_util.hpp"
 #include "vla/vector_engine.hpp"
+#include "winograd/winograd_conv.hpp"
 
 namespace vlacnn::vla {
 namespace {
@@ -132,6 +137,146 @@ TEST(EngineSim, PrefetchNoopStillDecodes) {
   eng.vload(0, buf.data());
   EXPECT_GT(ctx.memory().l1_stats().misses, 0u);
 }
+
+// ---- functional fast path vs instrumented path, whole kernels ----
+//
+// The hot ops are header-inline and take the simulator hooks behind one
+// cold branch; these runs pin that a functional engine and an instrumented
+// one still compute the same bits and count the same functional traffic
+// through every kernel family that issues them.
+
+/// 3x3/s1 conv with a BN + bias + leaky epilogue: every Gemm6 and Winograd
+/// path accepts it, and K spans several k-panels of the default blocking.
+dnn::ConvDesc fast_path_desc() {
+  dnn::ConvDesc d;
+  d.in_c = 32;
+  d.in_h = d.in_w = 8;
+  d.out_c = 64;
+  d.ksize = 3;
+  d.stride = 1;
+  d.pad = 1;
+  d.batch_norm = true;
+  d.act = dnn::Activation::Leaky;
+  d.validate();
+  return d;
+}
+
+class FastPathKernels : public ::testing::TestWithParam<unsigned> {
+ protected:
+  static constexpr int kBatch = 3;
+
+  FastPathKernels()
+      : d_(fast_path_desc()),
+        weights_(random_vec(static_cast<std::size_t>(d_.weight_count()), 11,
+                            -0.5f, 0.5f)),
+        input_(random_vec(static_cast<std::size_t>(kBatch) * item_in(), 12)),
+        residual_(random_vec(item_out(), 13)),
+        mean_(random_vec(static_cast<std::size_t>(d_.out_c), 14)),
+        var_(random_vec(static_cast<std::size_t>(d_.out_c), 15, 0.5f, 2.0f)),
+        scale_(random_vec(static_cast<std::size_t>(d_.out_c), 16)),
+        bias_(random_vec(static_cast<std::size_t>(d_.out_c), 17)) {
+    epi_.batch_norm = true;
+    epi_.bn_mean = mean_.data();
+    epi_.bn_var = var_.data();
+    epi_.bn_scale = scale_.data();
+    epi_.bias = bias_.data();
+    epi_.act = dnn::Activation::Leaky;
+  }
+
+  [[nodiscard]] std::size_t item_in() const {
+    return static_cast<std::size_t>(d_.in_c) * d_.in_h * d_.in_w;
+  }
+  [[nodiscard]] std::size_t item_out() const {
+    return static_cast<std::size_t>(d_.gemm_m()) * d_.gemm_n();
+  }
+
+  /// Runs `kernel` on a functional engine and on an engine instrumented by
+  /// sve_gem5 at the test's vector length: outputs must match bit for bit
+  /// and the functional traffic counters must agree exactly.
+  template <typename Kernel>
+  void expect_paths_agree(Kernel&& kernel, const std::string& tag) {
+    const sim::MachineConfig machine = sim::sve_gem5().with_vlen(GetParam());
+    VectorEngine plain(machine.vlen_bits);
+    sim::SimContext ctx(machine);
+    VectorEngine timed(ctx);
+    const std::vector<float> want = kernel(plain);
+    const std::vector<float> got = kernel(timed);
+    ASSERT_EQ(want.size(), got.size()) << tag;
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+              0)
+        << tag;
+    EXPECT_EQ(plain.mem_bytes_read(), timed.mem_bytes_read()) << tag;
+    EXPECT_EQ(plain.mem_bytes_written(), timed.mem_bytes_written()) << tag;
+    EXPECT_GT(plain.mem_bytes_read(), 0u) << tag;
+    EXPECT_GT(ctx.cycles(), 0u) << tag;
+  }
+
+  /// Gemm6::conv_fused with `fmt` weights; a non-F32 format is made
+  /// resident first and must be the image the kernel consumes.
+  std::vector<float> conv_fused(VectorEngine& eng, gemm::PackFormat fmt) {
+    gemm::PackedWeightCache cache;
+    gemm::Gemm6 g;
+    g.set_weight_cache(&cache);
+    g.set_sparsity_pm(500);
+    if (fmt != gemm::PackFormat::F32) {
+      EXPECT_NE(cache.prepare(weights_.data(), d_.gemm_m(), d_.gemm_k(),
+                              g.config().blocks.block_k, fmt, 500),
+                nullptr);
+    }
+    dnn::EpilogueDesc epi = epi_;
+    epi.residual = residual_.data();
+    std::vector<float> out(item_out(), -1.0f);
+    EXPECT_TRUE(g.conv_fused(eng, d_, weights_.data(), input_.data(),
+                             out.data(), &epi, fmt));
+    if (fmt != gemm::PackFormat::F32) {
+      EXPECT_GT(cache.stats().hits, 0u);
+    }
+    return out;
+  }
+
+  dnn::ConvDesc d_;
+  std::vector<float> weights_, input_, residual_, mean_, var_, scale_, bias_;
+  dnn::EpilogueDesc epi_;
+};
+
+TEST_P(FastPathKernels, Gemm6ConvFusedOverEveryWeightFormat) {
+  for (const gemm::PackFormat fmt :
+       {gemm::PackFormat::F32, gemm::PackFormat::Bf16,
+        gemm::PackFormat::Int8PerChannel, gemm::PackFormat::SparseF32}) {
+    expect_paths_agree([&](VectorEngine& eng) { return conv_fused(eng, fmt); },
+                       gemm::to_string(fmt));
+  }
+}
+
+TEST_P(FastPathKernels, Gemm6ConvFusedBatch) {
+  expect_paths_agree(
+      [&](VectorEngine& eng) {
+        gemm::Gemm6 g;
+        std::vector<float> out(kBatch * item_out(), -1.0f);
+        EXPECT_TRUE(g.conv_fused_batch(eng, d_, weights_.data(), input_.data(),
+                                       item_in(), out.data(), item_out(),
+                                       kBatch, &epi_));
+        return out;
+      },
+      "conv_fused_batch");
+}
+
+TEST_P(FastPathKernels, WinogradConv) {
+  expect_paths_agree(
+      [&](VectorEngine& eng) {
+        winograd::WinogradConv wino;
+        std::vector<float> out(item_out(), -1.0f);
+        wino.run(eng, d_, input_.data(), weights_.data(), out.data(), &epi_);
+        return out;
+      },
+      "winograd");
+}
+
+INSTANTIATE_TEST_SUITE_P(SveGem5, FastPathKernels,
+                         ::testing::Values(512u, 2048u),
+                         [](const auto& info) {
+                           return "vl" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace vlacnn::vla

@@ -4,12 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "winograd/variants.hpp"
 
 namespace vlacnn::winograd {
+
+// Prints the parameter by name. Without it gtest prints the pointer value,
+// which changes from process to process, so the listed (and ctest) name of
+// each case would too.
+void PrintTo(const WinogradVariant* v, std::ostream* os) { *os << v->name; }
+
 namespace {
 
 class VariantTest : public ::testing::TestWithParam<const WinogradVariant*> {};

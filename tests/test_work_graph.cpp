@@ -82,6 +82,41 @@ const ModelCase kModels[] = {
      }},
 };
 
+TEST(WorkGraph, ForwardAndBothExecutorsShareLayerLabels) {
+  // One labelling rule for every producer of LayerRecords: the plan's name
+  // for each conv, "fc" for the connected layers, the same sequence from
+  // Network::forward and from both scheduler executors.
+  auto net = dnn::build_vgg16(32);
+  const core::EnginePolicy policy = core::EnginePolicy::fused();
+  const int batch = 2;
+
+  vla::VectorEngine eng(512);
+  dnn::ExecContext ctx(eng);
+  core::ConvolutionEngine engine(policy);
+  engine.install(ctx);
+  dnn::Tensor in(batch, net->in_c(), net->in_h(), net->in_w());
+  in.randomize_batch(4321, 0.0f, 1.0f);
+  net->forward(ctx, in);
+  const std::vector<dnn::LayerRecord> fwd = ctx.records;
+
+  const SchedRun serial =
+      run_sched(*net, policy, batch, 2, ExecutorKind::Serial);
+  const SchedRun graph = run_sched(*net, policy, batch, 2, ExecutorKind::Graph);
+  ASSERT_EQ(fwd.size(), net->num_layers());
+  int fc = 0;
+  for (std::size_t i = 0; i < fwd.size(); ++i) {
+    const bool is_fc = dynamic_cast<const dnn::ConnectedLayer*>(
+                           &net->layer(i)) != nullptr;
+    if (is_fc) {
+      ++fc;
+      EXPECT_EQ(fwd[i].algo, "fc") << "layer " << i;
+    }
+  }
+  EXPECT_EQ(fc, 3);
+  expect_same_records(serial.records, fwd, "serial vs forward");
+  expect_same_records(graph.records, fwd, "graph vs forward");
+}
+
 TEST(WorkGraph, BitIdenticalToSerialAcrossModelsBatchesWorkersPlans) {
   struct PolicyCase {
     const char* tag;
