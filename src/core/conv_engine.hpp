@@ -112,8 +112,9 @@ class ConvolutionEngine {
 
   /// Installs the compiled per-context dispatch. `intra_op_pool` (optional)
   /// shards the GEMM M-panel and Winograd tile loops across a thread pool
-  /// for this context — use only for a context that runs alone (batch-1
-  /// latency mode), not for per-worker contexts of a batch-sharded run.
+  /// for this context. From an external thread the loops take the whole
+  /// pool; from inside one of the pool's workers (a per-worker context of a
+  /// batch-sharded run) they are shared with whichever workers are idle.
   void install(dnn::ExecContext& ctx,
                runtime::ThreadPool* intra_op_pool = nullptr);
 

@@ -56,7 +56,7 @@ inline dnn::GemmFn wrap_gemm6(std::shared_ptr<Gemm6> impl) {
 /// Each call materializes fresh algorithm state (notably the Opt6Loop
 /// packing buffers), so every ExecContext gets its own instance and
 /// contexts can run forward passes concurrently. `intra_op_pool` optionally
-/// shards the Opt6Loop M-panel loop across a thread pool (batch-1 case).
+/// shards the Opt6Loop M-panel loop across a thread pool.
 inline dnn::GemmFn make_gemm_fn(GemmVariant v, const Opt3Config& o3 = {},
                                 const Opt6Config& o6 = {},
                                 runtime::ThreadPool* intra_op_pool = nullptr) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,6 +32,63 @@ void vcopy_run(vla::VectorEngine& eng, const float* src, float* dst, int n) {
     i += vl;
   }
 }
+
+template <PackFormat F>
+using FormatTag = std::integral_constant<PackFormat, F>;
+
+/// Loads one A element stored as F (F32, Bf16 or Int8PerChannel) as fp32.
+/// The widening is billed as one scalar op (bf16: a pure bit shift, exact;
+/// int8: a convert).
+template <PackFormat F>
+inline float load_a(vla::VectorEngine& eng, const std::uint8_t* p) {
+  if constexpr (F == PackFormat::F32) {
+    float v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else if constexpr (F == PackFormat::Bf16) {
+    // Cast-on-load, accumulate-in-fp32.
+    std::uint16_t h;
+    std::memcpy(&h, p, sizeof(h));
+    eng.scalar_ops(1);
+    return f32_from_bf16(h);
+  } else {
+    static_assert(F == PackFormat::Int8PerChannel);
+    // Integer-domain accumulation: the FMA sees the raw quantized value; the
+    // per-channel scale is applied once per output element by the epilogue
+    // (dequant pre-multiply), not per FMA.
+    eng.scalar_ops(1);
+    return static_cast<float>(*reinterpret_cast<const std::int8_t*>(p));
+  }
+}
+
+/// Calls body(FormatTag<element format of fmt>{}, scaled) with `scaled` a
+/// std::bool_constant of alpha != 1 (a sparse format's kept values are
+/// stored as its dense counterpart). Both are fixed for a whole micro-kernel
+/// call, so the kernels compile one k-loop per case instead of testing them
+/// per FMA.
+template <class Body>
+void dispatch_a_format(PackFormat fmt, float alpha, Body&& body) {
+  const auto with_alpha = [&](auto tag) {
+    if (alpha != 1.0f)
+      body(tag, std::true_type{});
+    else
+      body(tag, std::false_type{});
+  };
+  switch (fmt) {
+    case PackFormat::F32:
+    case PackFormat::SparseF32:
+      with_alpha(FormatTag<PackFormat::F32>{});
+      break;
+    case PackFormat::Bf16:
+    case PackFormat::SparseBf16:
+      with_alpha(FormatTag<PackFormat::Bf16>{});
+      break;
+    case PackFormat::Int8PerChannel:
+      with_alpha(FormatTag<PackFormat::Int8PerChannel>{});
+      break;
+  }
+}
+
 }  // namespace
 
 Gemm6::Gemm6(const Opt6Config& cfg) : cfg_(cfg) {
@@ -182,113 +241,98 @@ void Gemm6::micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
   // from — the k-walk touches half / a quarter of the cache lines.
   const auto* a_bytes = static_cast<const std::uint8_t*>(a.data);
   const std::size_t a_elem = pack_elem_bytes(a.fmt);
-  for (int j = 0; j < nc;) {
-    const auto gvl = static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
-    eng.scalar_ops(2);
-    for (int i = 0; i < mc; i += unroll) {
-      const int rows = std::min(unroll, mc - i);
-      eng.scalar_ops(3);
+  dispatch_a_format(a.fmt, alpha, [&](auto fmt, auto scaled) {
+    constexpr PackFormat kFmt = decltype(fmt)::value;
+    for (int j = 0; j < nc;) {
+      const auto gvl =
+          static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
+      eng.scalar_ops(2);
+      for (int i = 0; i < mc; i += unroll) {
+        const int rows = std::min(unroll, mc - i);
+        eng.scalar_ops(3);
 
-      if (cfg_.prefetch) {
-        // Paper Fig. 3 lines 11-13: C tile into L1, packed panels into L2.
-        for (int u = 0; u < rows; ++u)
-          eng.prefetch(C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j,
-                       static_cast<std::size_t>(gvl) * sizeof(float), 1);
-        eng.prefetch(a_bytes + static_cast<std::size_t>(i) * a.stride * a_elem,
-                     static_cast<std::size_t>(rows) * a.stride * a_elem, 2);
-        eng.prefetch(b_panel + static_cast<std::size_t>(j),
-                     static_cast<std::size_t>(gvl) * sizeof(float), 2);
-      }
-
-      for (int u = 0; u < rows; ++u) {
-        if (beta0) {
-          // First k-panel of a fused conv: the accumulator starts at zero
-          // instead of loading the (would-be zero-filled) C tile — this is
-          // what eliminates both the fill_cpu pass and the first C read.
-          eng.vbroadcast(u, 0.0f);
-        } else {
-          eng.vload(u, C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j);
+        if (cfg_.prefetch) {
+          // Paper Fig. 3 lines 11-13: C tile into L1, packed panels into L2.
+          for (int u = 0; u < rows; ++u)
+            eng.prefetch(
+                C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j,
+                static_cast<std::size_t>(gvl) * sizeof(float), 1);
+          eng.prefetch(
+              a_bytes + static_cast<std::size_t>(i) * a.stride * a_elem,
+              static_cast<std::size_t>(rows) * a.stride * a_elem, 2);
+          eng.prefetch(b_panel + static_cast<std::size_t>(j),
+                       static_cast<std::size_t>(gvl) * sizeof(float), 2);
         }
-      }
 
-      for (int k = 0; k < kc; ++k) {
-        const float* b_addr =
-            b_packed ? b_panel + (static_cast<std::size_t>(j) / panel_w) * kc *
-                                     panel_w +
-                           static_cast<std::size_t>(k) * panel_w
-                     : b_panel + static_cast<std::size_t>(k) * b_stride + j;
-        if (cfg_.prefetch && (k & 15) == 0) {
-          // Fig. 3 lines 16-17: stream the next packed lines into L1.
-          eng.prefetch(b_addr, 64, 1);
-          eng.prefetch(a_bytes + (static_cast<std::size_t>(i) * a.stride + k) *
-                                     a_elem,
-                       64, 1);
-        }
-        eng.vload(kVB, b_addr);
-        eng.scalar_ops(2);
         for (int u = 0; u < rows; ++u) {
-          const std::uint8_t* a_ptr =
-              a_bytes +
-              (static_cast<std::size_t>(i + u) * a.stride + k) * a_elem;
-          eng.scalar_mem(a_ptr, a_elem, false);
-          float av = 0.0f;
-          switch (a.fmt) {
-            case PackFormat::F32:
-              std::memcpy(&av, a_ptr, sizeof(float));
-              break;
-            case PackFormat::Bf16: {
-              // Cast-on-load, accumulate-in-fp32: the widen is a pure bit
-              // shift (exact), billed as one scalar op.
-              std::uint16_t h;
-              std::memcpy(&h, a_ptr, sizeof(h));
-              av = f32_from_bf16(h);
-              eng.scalar_ops(1);
-              break;
-            }
-            case PackFormat::Int8PerChannel:
-              // Integer-domain accumulation: the FMA sees the raw quantized
-              // value; the per-channel scale is applied once per output
-              // element by the epilogue (dequant pre-multiply), not per FMA.
-              av = static_cast<float>(
-                  *reinterpret_cast<const std::int8_t*>(a_ptr));
-              eng.scalar_ops(1);
-              break;
-            case PackFormat::SparseF32:
-            case PackFormat::SparseBf16:
-              break;  // unreachable: sparse panels take micro_kernel_sparse
+          if (beta0) {
+            // First k-panel of a fused conv: the accumulator starts at zero
+            // instead of loading the (would-be zero-filled) C tile — this is
+            // what eliminates both the fill_cpu pass and the first C read.
+            eng.vbroadcast(u, 0.0f);
+          } else {
+            eng.vload(u,
+                      C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j);
           }
-          if (alpha != 1.0f) {
-            av *= alpha;
-            eng.scalar_ops(1);
-          }
-          eng.vfma_scalar(u, av, kVB);
         }
-      }
 
-      for (int u = 0; u < rows; ++u) {
-        // Last k-panel of a fused conv: BN/bias/activation happen here, on
-        // the accumulator registers, instead of as separate passes that
-        // re-stream the output tensor (kVB is dead after the k-loop).
-        const std::size_t c_off =
-            static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j;
-        if (epi != nullptr) {
-          dnn::apply_channel_epilogue(
-              eng, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)], u,
-              kVB);
-          if (epi->residual != nullptr) {
-            // Fused shortcut: the skip tensor shares C's layout, so the
-            // addend for this tile slice sits at the same offset (kVTmp is
-            // dead outside the packing stages).
-            eng.vload(kVB, epi->residual + c_off);
-            eng.vadd(u, u, kVB);
-            dnn::apply_activation_reg(eng, epi->residual_act, u, kVTmp);
+        for (int k = 0; k < kc; ++k) {
+          const float* b_addr =
+              b_packed
+                  ? b_panel +
+                        (static_cast<std::size_t>(j) / panel_w) * kc *
+                            panel_w +
+                        static_cast<std::size_t>(k) * panel_w
+                  : b_panel + static_cast<std::size_t>(k) * b_stride + j;
+          if (cfg_.prefetch && (k & 15) == 0) {
+            // Fig. 3 lines 16-17: stream the next packed lines into L1.
+            eng.prefetch(b_addr, 64, 1);
+            eng.prefetch(
+                a_bytes +
+                    (static_cast<std::size_t>(i) * a.stride + k) * a_elem,
+                64, 1);
+          }
+          eng.vload(kVB, b_addr);
+          eng.scalar_ops(2);
+          for (int u = 0; u < rows; ++u) {
+            const std::uint8_t* a_ptr =
+                a_bytes +
+                (static_cast<std::size_t>(i + u) * a.stride + k) * a_elem;
+            eng.scalar_mem(a_ptr, a_elem, false);
+            float av = load_a<kFmt>(eng, a_ptr);
+            if constexpr (decltype(scaled)::value) {
+              av *= alpha;
+              eng.scalar_ops(1);
+            }
+            eng.vfma_scalar(u, av, kVB);
           }
         }
-        eng.vstore(u, C + c_off);
+
+        for (int u = 0; u < rows; ++u) {
+          // Last k-panel of a fused conv: BN/bias/activation happen here, on
+          // the accumulator registers, instead of as separate passes that
+          // re-stream the output tensor (kVB is dead after the k-loop).
+          const std::size_t c_off =
+              static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j;
+          if (epi != nullptr) {
+            dnn::apply_channel_epilogue(
+                eng, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)],
+                u, kVB);
+            if (epi->residual != nullptr) {
+              // Fused shortcut: the skip tensor shares C's layout, so the
+              // addend for this tile slice sits at the same offset (kVTmp is
+              // dead outside the packing stages).
+              eng.vload(kVB, epi->residual + c_off);
+              eng.vadd(u, u, kVB);
+              dnn::apply_activation_reg(eng, epi->residual_act, u, kVTmp);
+            }
+          }
+          eng.vstore(u, C + c_off);
+        }
       }
+      j += gvl;
     }
-    j += gvl;
-  }
+  });
 }
 
 void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
@@ -306,102 +350,104 @@ void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
   // either way, so the grouping does not change any accumulation order —
   // only which rows share a bitmap word. run_blocked guarantees i0 is
   // granule-aligned (block_m % kSparseBlockM == 0).
-  for (int j = 0; j < nc;) {
-    const auto gvl =
-        static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
-    eng.scalar_ops(2);
-    for (int i = 0; i < mc; i += kSparseBlockM) {
-      const int rows = std::min(kSparseBlockM, mc - i);
-      eng.scalar_ops(3);
-      // One bitmap + offset read per (strip, row block); both words live in
-      // the image's index structure, so the weight-DRAM watch sees them.
-      const std::size_t seg = img.sparse_segment(i0 + i, a.k1);
-      const std::uint64_t* bits_w = img.sparse_bitmap_word(seg);
-      const std::uint64_t* offs_w = img.sparse_offset_word(seg);
-      eng.scalar_mem(bits_w, sizeof(std::uint64_t), false);
-      eng.scalar_mem(offs_w, sizeof(std::uint64_t), false);
+  dispatch_a_format(img.format(), alpha, [&](auto fmt, auto scaled) {
+    constexpr PackFormat kFmt = decltype(fmt)::value;
+    for (int j = 0; j < nc;) {
+      const auto gvl =
+          static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
       eng.scalar_ops(2);
-      const std::uint64_t bits = *bits_w;
-      const auto* vals = static_cast<const std::uint8_t*>(img.sparse_values(seg));
+      for (int i = 0; i < mc; i += kSparseBlockM) {
+        const int rows = std::min(kSparseBlockM, mc - i);
+        eng.scalar_ops(3);
+        // One bitmap + offset read per (strip, row block); both words live
+        // in the image's index structure, so the weight-DRAM watch sees
+        // them.
+        const std::size_t seg = img.sparse_segment(i0 + i, a.k1);
+        const std::uint64_t* bits_w = img.sparse_bitmap_word(seg);
+        const std::uint64_t* offs_w = img.sparse_offset_word(seg);
+        eng.scalar_mem(bits_w, sizeof(std::uint64_t), false);
+        eng.scalar_mem(offs_w, sizeof(std::uint64_t), false);
+        eng.scalar_ops(2);
+        const std::uint64_t bits = *bits_w;
+        const auto* vals =
+            static_cast<const std::uint8_t*>(img.sparse_values(seg));
 
-      if (cfg_.prefetch) {
-        for (int u = 0; u < rows; ++u)
-          eng.prefetch(C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j,
-                       static_cast<std::size_t>(gvl) * sizeof(float), 1);
-        eng.prefetch(vals, static_cast<std::size_t>(rows) * kSparseBlockK *
-                               a_elem, 2);
-        eng.prefetch(b_panel + static_cast<std::size_t>(j),
-                     static_cast<std::size_t>(gvl) * sizeof(float), 2);
-      }
-
-      for (int u = 0; u < rows; ++u) {
-        if (beta0) {
-          eng.vbroadcast(u, 0.0f);
-        } else {
-          eng.vload(u, C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j);
+        if (cfg_.prefetch) {
+          for (int u = 0; u < rows; ++u)
+            eng.prefetch(
+                C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j,
+                static_cast<std::size_t>(gvl) * sizeof(float), 1);
+          eng.prefetch(
+              vals, static_cast<std::size_t>(rows) * kSparseBlockK * a_elem,
+              2);
+          eng.prefetch(b_panel + static_cast<std::size_t>(j),
+                       static_cast<std::size_t>(gvl) * sizeof(float), 2);
         }
-      }
 
-      // THE skip: a cleared bit drops the whole 4x16 block — its A loads
-      // AND its 16-iteration FMA run — and the compacted stream means the
-      // kept blocks it jumps between are still contiguous in memory.
-      for (int cb = 0; cb < nchunks; ++cb) {
-        eng.scalar_ops(1);  // the bit test
-        if ((bits & (1ull << cb)) == 0) continue;
-        const int cw = std::min(kSparseBlockK, kc - cb * kSparseBlockK);
-        if (cfg_.prefetch) eng.prefetch(vals, 64, 1);
-        for (int c = 0; c < cw; ++c) {
-          const int k = cb * kSparseBlockK + c;
-          const float* b_addr =
-              b_packed ? b_panel + (static_cast<std::size_t>(j) / panel_w) *
-                                       kc * panel_w +
-                             static_cast<std::size_t>(k) * panel_w
-                       : b_panel + static_cast<std::size_t>(k) * b_stride + j;
-          eng.vload(kVB, b_addr);
-          eng.scalar_ops(2);
-          for (int u = 0; u < rows; ++u) {
-            const std::uint8_t* a_ptr =
-                vals + (static_cast<std::size_t>(u) * cw + c) * a_elem;
-            eng.scalar_mem(a_ptr, a_elem, false);
-            float av;
-            if (img.format() == PackFormat::SparseF32) {
-              std::memcpy(&av, a_ptr, sizeof(float));
-            } else {
-              std::uint16_t h;
-              std::memcpy(&h, a_ptr, sizeof(h));
-              av = f32_from_bf16(h);
-              eng.scalar_ops(1);
-            }
-            if (alpha != 1.0f) {
-              av *= alpha;
-              eng.scalar_ops(1);
-            }
-            eng.vfma_scalar(u, av, kVB);
+        for (int u = 0; u < rows; ++u) {
+          if (beta0) {
+            eng.vbroadcast(u, 0.0f);
+          } else {
+            eng.vload(u,
+                      C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j);
           }
         }
-        vals += static_cast<std::size_t>(rows) * cw * a_elem;
-      }
 
-      // beta0 stores and the one-pass epilogue run for EVERY row block,
-      // occupied or not — a fully pruned block still owns its output rows.
-      for (int u = 0; u < rows; ++u) {
-        const std::size_t c_off =
-            static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j;
-        if (epi != nullptr) {
-          dnn::apply_channel_epilogue(
-              eng, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)], u,
-              kVB);
-          if (epi->residual != nullptr) {
-            eng.vload(kVB, epi->residual + c_off);
-            eng.vadd(u, u, kVB);
-            dnn::apply_activation_reg(eng, epi->residual_act, u, kVTmp);
+        // THE skip: a cleared bit drops the whole 4x16 block — its A loads
+        // AND its 16-iteration FMA run — and the compacted stream means the
+        // kept blocks it jumps between are still contiguous in memory.
+        for (int cb = 0; cb < nchunks; ++cb) {
+          eng.scalar_ops(1);  // the bit test
+          if ((bits & (1ull << cb)) == 0) continue;
+          const int cw = std::min(kSparseBlockK, kc - cb * kSparseBlockK);
+          if (cfg_.prefetch) eng.prefetch(vals, 64, 1);
+          for (int c = 0; c < cw; ++c) {
+            const int k = cb * kSparseBlockK + c;
+            const float* b_addr =
+                b_packed
+                    ? b_panel +
+                          (static_cast<std::size_t>(j) / panel_w) * kc *
+                              panel_w +
+                          static_cast<std::size_t>(k) * panel_w
+                    : b_panel + static_cast<std::size_t>(k) * b_stride + j;
+            eng.vload(kVB, b_addr);
+            eng.scalar_ops(2);
+            for (int u = 0; u < rows; ++u) {
+              const std::uint8_t* a_ptr =
+                  vals + (static_cast<std::size_t>(u) * cw + c) * a_elem;
+              eng.scalar_mem(a_ptr, a_elem, false);
+              float av = load_a<kFmt>(eng, a_ptr);
+              if constexpr (decltype(scaled)::value) {
+                av *= alpha;
+                eng.scalar_ops(1);
+              }
+              eng.vfma_scalar(u, av, kVB);
+            }
           }
+          vals += static_cast<std::size_t>(rows) * cw * a_elem;
         }
-        eng.vstore(u, C + c_off);
+
+        // beta0 stores and the one-pass epilogue run for EVERY row block,
+        // occupied or not — a fully pruned block still owns its output rows.
+        for (int u = 0; u < rows; ++u) {
+          const std::size_t c_off =
+              static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j;
+          if (epi != nullptr) {
+            dnn::apply_channel_epilogue(
+                eng, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)],
+                u, kVB);
+            if (epi->residual != nullptr) {
+              eng.vload(kVB, epi->residual + c_off);
+              eng.vadd(u, u, kVB);
+              dnn::apply_activation_reg(eng, epi->residual_act, u, kVTmp);
+            }
+          }
+          eng.vstore(u, C + c_off);
+        }
       }
+      j += gvl;
     }
-    j += gvl;
-  }
+  });
 }
 
 void Gemm6::operator()(vla::VectorEngine& eng, int M, int N, int K,

@@ -38,10 +38,11 @@ struct Opt6Config {
 /// A Gemm6 instance owns mutable packing buffers and must only be driven by
 /// one thread at a time (core::ConvolutionEngine::install() hands each
 /// ExecContext its own instance). With set_intra_op_pool(), the M-panel loop
-/// is additionally sharded across the pool for the batch-1 latency case:
-/// the B panel is packed once, then each worker packs its own A panels
-/// (per-worker buffer + functional engine) and runs the micro-kernel on a
-/// disjoint row range of C — bitwise identical to the serial path.
+/// is additionally sharded across the pool (the whole pool from an external
+/// caller, the idle workers from inside a pool task): the B panel is packed
+/// once, then each worker packs its own A panels (per-worker buffer +
+/// functional engine) and runs the micro-kernel on a disjoint row range of
+/// C — bitwise identical to the serial path.
 /// Instrumented (simulated) runs always stay serial.
 class Gemm6 {
  public:

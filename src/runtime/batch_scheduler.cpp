@@ -19,11 +19,11 @@ BatchScheduler::BatchScheduler(core::ConvolutionEngine& engine,
     vla::VectorEngine& eng =
         vla::ensure_worker_engine(worker_engines_, w, cfg_.vlen_bits);
     worker_ctxs_.push_back(std::make_unique<dnn::ExecContext>(eng));
-    engine_->install(*worker_ctxs_.back());
+    engine_->install(*worker_ctxs_.back(), intra_op_pool());
   }
   main_engine_ = std::make_unique<vla::VectorEngine>(cfg_.vlen_bits);
   main_ctx_ = std::make_unique<dnn::ExecContext>(*main_engine_);
-  engine_->install(*main_ctx_, cfg_.intra_op && t > 1 ? &pool_ : nullptr);
+  engine_->install(*main_ctx_, intra_op_pool());
   if (cfg_.fault_injector != nullptr) {
     graph_->set_fault_injector(cfg_.fault_injector);
     FaultInjector* inj = cfg_.fault_injector;
@@ -218,9 +218,8 @@ void BatchScheduler::install_plan(core::BackendPlan plan) {
   // install() calls as construction; per-context scratch is rebuilt, the
   // shared weight caches persist). The next launch's prepare() packs and
   // transforms whatever the new routing needs.
-  for (auto& ctx : worker_ctxs_) engine_->install(*ctx);
-  engine_->install(*main_ctx_,
-                   cfg_.intra_op && pool_.size() > 1 ? &pool_ : nullptr);
+  for (auto& ctx : worker_ctxs_) engine_->install(*ctx, intra_op_pool());
+  engine_->install(*main_ctx_, intra_op_pool());
 
   lock.lock();
   swap_pending_ = false;
@@ -317,15 +316,12 @@ GraphBatchSpec BatchScheduler::build_program(Slot& slot) {
     // residual fold, which must see every item of its shortcut source —
     // pins a sync point: the layer becomes one barrier task.
     //
-    // Tradeoff vs the serial executor: a barrier task runs on ONE pool
-    // worker, and worker ExecContexts have no intra-op pool installed (a
-    // nested parallel_for from inside a posted task would degrade to an
-    // inline serial loop anyway — see ThreadPool), so the whole-batch GEMM
-    // that intra-op parallelized across the pool under Serial executes
-    // single-worker here. The graph's bet is that cross-batch overlap
-    // refills the other workers; for weight-resident-dominant plans with no
-    // second batch in flight, --executor=serial restores the pool-wide
-    // intra-op dispatch.
+    // A barrier task starts on ONE pool worker, but every worker
+    // ExecContext carries the intra-op pool: the whole-batch GEMM's
+    // M-panels go out through a nested, work-sharing parallel_for, so the
+    // workers that cross-batch overlap leaves idle take panels from it
+    // (see ThreadPool). Only a layer with a single M-panel (the FC layers,
+    // whose M is the batch) stays on one worker.
     const auto* conv = dynamic_cast<const dnn::ConvLayer*>(&layer);
     const bool want_batch_fused =
         nb > 1 &&

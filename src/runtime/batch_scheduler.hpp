@@ -31,8 +31,10 @@ struct SchedulerConfig {
   int threads = 0;
   /// Hardware vector length of the per-worker functional engines.
   unsigned vlen_bits = 512;
-  /// Shard the GEMM M-panel / Winograd tile loops across the pool when a
-  /// layer has fewer batch items than workers (the batch-1 latency case).
+  /// Shard the GEMM M-panel / Winograd tile loops across the pool: from
+  /// the main context of a batch-1 pass, and from inside worker tasks,
+  /// where idle workers take items of the kernel's nested parallel_for
+  /// (a batch-fused barrier layer's M-panels, most of all).
   bool intra_op = true;
   /// Runtime escape hatch: Graph is the default; Serial restores the
   /// pre-work-graph executor (one batch at a time, per-layer barriers).
@@ -94,7 +96,9 @@ struct BatchResult {
 /// the ConvolutionEngine), so workers never share mutable kernel state;
 /// weights and the Winograd/packed weight caches are read-only during a
 /// pass (every pass calls engine.prepare() first, and the caches themselves
-/// are thread-safe for the prepare-during-execution overlap below).
+/// are thread-safe for the prepare-during-execution overlap below). Under
+/// SchedulerConfig::intra_op every context also carries the pool, so a
+/// kernel running on one worker lends its inner loops to idle workers.
 ///
 /// Under the default Graph executor the pass is decomposed into a work
 /// graph (runtime::WorkGraph): per-item layers split into item chunks whose
@@ -222,6 +226,11 @@ class BatchScheduler {
   void launch_graph(Slot& slot);
   GraphBatchSpec build_program(Slot& slot);
   void complete(Slot& slot);  // release input, mark Done, wake waiters
+  /// The pool every ExecContext's kernels shard their loops over, or null
+  /// (intra_op off, or a 1-worker pool).
+  [[nodiscard]] ThreadPool* intra_op_pool() {
+    return cfg_.intra_op && pool_.size() > 1 ? &pool_ : nullptr;
+  }
   void watchdog_loop();
 
   // Per-item error isolation (guarded by item_mu_: entries are written by

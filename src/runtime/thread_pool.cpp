@@ -1,17 +1,21 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 
 #include "common/error.hpp"
 
 namespace vlacnn::runtime {
 
 namespace {
-// Set while a thread is executing a chunk or a posted task for some pool;
-// used to detect nested parallel_for calls (which run inline instead of
-// deadlocking).
+// Set while a thread is executing a chunk, a posted task or a nested item
+// for some pool; used to detect nested parallel_for calls (which share work
+// instead of deadlocking on the full-pool barrier).
 thread_local const ThreadPool* tls_current_pool = nullptr;
 thread_local int tls_current_worker = 0;
+// Helper time of the nested calls this thread made (take_helper_seconds).
+thread_local double tls_helper_seconds = 0.0;
 
 // RAII guard for the nested-parallelism TLS.
 struct TlsPoolScope {
@@ -28,6 +32,21 @@ struct TlsPoolScope {
   int prev_worker;
 };
 }  // namespace
+
+// One nested parallel_for call, living on its caller's stack. Items are
+// claimed through `next`; the rest is guarded by the pool's mu_. The caller
+// unpublishes the job before waiting for `helpers` to reach zero, so no
+// helper can join (or touch the job) after that wait returns.
+struct ThreadPool::NestedJob {
+  NestedJob(int items, const std::function<void(int, int)>* f)
+      : n(items), fn(f) {}
+  const int n;
+  const std::function<void(int, int)>* const fn;
+  std::atomic<int> next{0};
+  int helpers = 0;              // helpers currently claiming items
+  double helper_seconds = 0.0;  // their summed time on this job
+  std::exception_ptr error;
+};
 
 int ThreadPool::hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -76,32 +95,87 @@ void ThreadPool::run_chunk(int worker) {
   }
 }
 
+ThreadPool::NestedJob* ThreadPool::open_nested_job() const {
+  for (NestedJob* job : nested_)
+    if (job->next.load() < job->n) return job;
+  return nullptr;
+}
+
+void ThreadPool::run_items(NestedJob& job, int worker) {
+  for (int i = job.next.fetch_add(1); i < job.n; i = job.next.fetch_add(1)) {
+    try {
+      (*job.fn)(i, worker);
+    } catch (...) {
+      // Stop handing out items; the caller rethrows the first error.
+      job.next.store(job.n);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!job.error) job.error = std::current_exception();
+    }
+  }
+}
+
+void ThreadPool::help(NestedJob& job, int worker) {
+  const auto t0 = std::chrono::steady_clock::now();
+  // The items may fan out again; their helpers' time is this job's too.
+  const double outer = tls_helper_seconds;
+  tls_helper_seconds = 0.0;
+  {
+    TlsPoolScope scope(this, worker);
+    run_items(job, worker);
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count() +
+      tls_helper_seconds;
+  tls_helper_seconds = outer;
+  std::lock_guard<std::mutex> lock(mu_);
+  job.helper_seconds += seconds;
+  // Notified under mu_: the caller cannot return (and free the job) before
+  // this critical section ends.
+  if (--job.helpers == 0) nested_cv_.notify_all();
+}
+
 void ThreadPool::worker_loop(int id) {
   std::uint64_t seen = 0;
   for (;;) {
     Task task;
     bool run_job = false;
+    NestedJob* nested = nullptr;
+    bool pass_wakeup = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] {
-        return stop_ || generation_ != seen || !tasks_.empty();
-      });
-      if (generation_ != seen) {
-        // parallel_for jobs take priority: their caller blocks synchronously
-        // on the full-pool barrier, while posted tasks only queue.
-        seen = generation_;
-        run_job = true;
-      } else if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      } else {
-        return;  // stop_, with nothing left to run
+      for (;;) {
+        if (generation_ != seen) {
+          // External parallel_for jobs come first: their caller blocks
+          // synchronously on the full-pool barrier. Nested calls block
+          // their caller too; posted tasks only queue.
+          seen = generation_;
+          run_job = true;
+          break;
+        }
+        if ((nested = open_nested_job()) != nullptr) {
+          ++nested->helpers;
+          // post() wakes one worker; if that was this one, hand the wake-up
+          // on so the queued task does not wait for this help to end.
+          pass_wakeup = !tasks_.empty();
+          break;
+        }
+        if (!tasks_.empty()) {
+          task = std::move(tasks_.front());
+          tasks_.pop_front();
+          break;
+        }
+        if (stop_) return;  // nothing left to run
+        start_cv_.wait(lock);
       }
     }
     if (run_job) {
       run_chunk(id);
       std::lock_guard<std::mutex> lock(mu_);
       if (--pending_ == 0) done_cv_.notify_all();
+    } else if (nested != nullptr) {
+      if (pass_wakeup) start_cv_.notify_one();
+      help(*nested, id);
     } else {
       {
         TlsPoolScope scope(this, id);
@@ -132,10 +206,9 @@ void ThreadPool::parallel_for(int n,
                               const std::function<void(int, int)>& fn) {
   if (n <= 0) return;
   if (tls_current_pool == this) {
-    // Nested call from one of our own workers (chunk or posted task): run
-    // inline on that worker.
-    const int w = tls_current_worker;
-    for (int i = 0; i < n; ++i) fn(i, w);
+    // Nested call from one of our own workers (chunk, posted task or nested
+    // item): share the items with whichever workers are idle.
+    run_nested(n, fn, tls_current_worker);
     return;
   }
   // A call from one of this pool's worker threads that is NOT inside a
@@ -168,6 +241,32 @@ void ThreadPool::parallel_for(int n,
   done_cv_.wait(lock, [&] { return pending_ == 0; });
   job_fn_ = nullptr;
   if (error_) std::rethrow_exception(error_);
+}
+
+void ThreadPool::run_nested(int n, const std::function<void(int, int)>& fn,
+                            int caller) {
+  if (n == 1 || size() == 1) {
+    for (int i = 0; i < n; ++i) fn(i, caller);
+    return;
+  }
+  NestedJob job(n, &fn);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    nested_.push_back(&job);
+  }
+  start_cv_.notify_all();
+  run_items(job, caller);
+  std::unique_lock<std::mutex> lock(mu_);
+  nested_.erase(std::find(nested_.begin(), nested_.end(), &job));
+  nested_cv_.wait(lock, [&] { return job.helpers == 0; });
+  tls_helper_seconds += job.helper_seconds;
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+double ThreadPool::take_helper_seconds() {
+  const double s = tls_helper_seconds;
+  tls_helper_seconds = 0.0;
+  return s;
 }
 
 }  // namespace vlacnn::runtime

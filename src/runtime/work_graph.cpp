@@ -226,6 +226,7 @@ void WorkGraph::run_token(int worker) {
 
   std::exception_ptr err;
   double dur = 0.0;
+  double helper = 0.0;
   if (!skip) {
     if (injector_ != nullptr && !n->is_prepare) {
       // Injected stall: the worker holds this task (and nothing else) for a
@@ -234,6 +235,8 @@ void WorkGraph::run_token(int worker) {
       const double ms = injector_->task_stall_ms(b.seq, n->layer, n->chunk);
       if (ms > 0) injector_->stall(ms);
     }
+    // Drop helper time a task outside the graph left on this thread.
+    (void)ThreadPool::take_helper_seconds();
     const auto t0 = std::chrono::steady_clock::now();
     try {
       if (n->is_prepare) {
@@ -248,6 +251,7 @@ void WorkGraph::run_token(int worker) {
     }
     dur = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
+    helper = ThreadPool::take_helper_seconds();
     if (!n->is_prepare) n->rec.wall_seconds = dur;
   }
 
@@ -256,7 +260,12 @@ void WorkGraph::run_token(int worker) {
     b.failed = true;
     b.error = err;
   }
-  if (!n->is_prepare) b.busy_seconds += dur;
+  if (!n->is_prepare) {
+    // Idle workers that took items of this task's nested intra-op calls
+    // were busy on it too.
+    b.busy_seconds += dur + helper;
+    b.helper_seconds += helper;
+  }
   last_progress_ = std::chrono::steady_clock::now();
   n->done = true;
   for (Node* d : n->out) {
@@ -270,6 +279,7 @@ void WorkGraph::finish_batch(Batch& b) {
   res.stats.workers = pool_->size();
   res.stats.tasks = b.tasks;
   res.stats.busy_seconds = b.busy_seconds;
+  res.stats.helper_seconds = b.helper_seconds;
   res.stats.overlap_task_starts = b.overlap_task_starts;
   res.stats.overlap_first_layer_starts = b.overlap_first_layer_starts;
   if (b.started) {

@@ -30,12 +30,17 @@ struct BatchCancelled : std::runtime_error {
 /// Execution statistics of one batch under an executor. Under the work-graph
 /// executor, `span_seconds` runs from the batch's first task start to its
 /// sink completion and `busy_seconds` sums compute-task durations across all
-/// workers; the overlap counters prove cross-batch pipelining (tasks of this
-/// batch that started while an older batch was still in flight). The serial
-/// executor fills span/workers only (busy == span: one execution stream).
+/// workers, plus the time idle workers spent on items of the nested
+/// parallel_for calls those tasks made (`helper_seconds`); the overlap
+/// counters prove cross-batch pipelining (tasks of this batch that started
+/// while an older batch was still in flight). The serial executor fills
+/// span/workers only (busy == span: one execution stream).
 struct ExecStats {
   double span_seconds = 0.0;  ///< first task start -> batch completion
   double busy_seconds = 0.0;  ///< summed compute-task time over all workers
+  /// Share of busy_seconds that helper workers spent on the compute tasks'
+  /// nested intra-op items (ThreadPool::take_helper_seconds).
+  double helper_seconds = 0.0;
   int workers = 0;            ///< pool size the batch ran on
   std::uint64_t tasks = 0;    ///< compute tasks (layer chunks) of the batch
   /// Compute tasks of this batch started while an older batch was still
@@ -204,6 +209,7 @@ class WorkGraph {
     std::chrono::steady_clock::time_point launched_at{};
     std::chrono::steady_clock::time_point first_start{};
     double busy_seconds = 0.0;
+    double helper_seconds = 0.0;
     std::uint64_t tasks = 0;
     std::uint64_t overlap_task_starts = 0;
     std::uint64_t overlap_first_layer_starts = 0;

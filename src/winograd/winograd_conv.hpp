@@ -43,8 +43,9 @@ namespace vlacnn::winograd {
 /// With set_intra_op_pool(), the tile loops of the input/output transforms
 /// and the output-channel loop of the tuple multiplication are sharded
 /// across the pool (per-worker functional engines and stage scratch),
-/// bitwise identical to the serial path. Used for the batch-1 latency case;
-/// simulated (instrumented) runs always stay serial.
+/// bitwise identical to the serial path (the whole pool from an external
+/// caller, the idle workers from inside a pool task); simulated
+/// (instrumented) runs always stay serial.
 class WinogradConv {
  public:
   /// `shared_cache` may outlive-scope-share transformed weights between

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -51,18 +52,52 @@ TEST(ThreadPool, ChunkingIsDeterministic) {
     EXPECT_GE(owner_a[i], owner_a[i - 1]);
 }
 
-TEST(ThreadPool, NestedCallRunsInline) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.parallel_for(2, [&](int, int w) {
-    // A nested parallel_for from a worker must not deadlock; it runs inline
-    // on the same worker.
-    pool.parallel_for(5, [&](int, int inner_w) {
-      EXPECT_EQ(inner_w, w);
-      total.fetch_add(1);
-    });
+// Polls `done` until it holds or `limit` passes; returns its last value. The
+// nested-call tests wait on each other only through this, so a broken pool
+// fails them instead of hanging the suite.
+template <class Pred>
+bool wait_until(Pred done,
+                std::chrono::milliseconds limit = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// A nested call from worker `caller`: every item runs exactly once, worker
+// ids are in [0, size()), and the caller takes items itself. An item that
+// lands on another worker waits (bounded) until the caller has run one, and
+// there are more items than other workers, so the caller must take one
+// whoever wakes first.
+void expect_nested_contract(ThreadPool& pool, int caller) {
+  const int n = 2 * pool.size() + 1;
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+  std::atomic<bool> caller_ran{false};
+  pool.parallel_for(n, [&](int i, int w) {
+    EXPECT_GE(w, 0);
+    EXPECT_LT(w, pool.size());
+    hits[static_cast<std::size_t>(i)].fetch_add(1);
+    if (w == caller)
+      caller_ran.store(true);
+    else
+      EXPECT_TRUE(wait_until([&] { return caller_ran.load(); }));
   });
-  EXPECT_EQ(total.load(), 10);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_TRUE(caller_ran.load());
+}
+
+TEST(ThreadPool, NestedCallSharesItems) {
+  ThreadPool pool(2);
+  std::atomic<int> calls{0};
+  pool.parallel_for(2, [&](int, int w) {
+    // A nested parallel_for from a chunk must not deadlock on the full-pool
+    // barrier; it shares its items with idle workers.
+    expect_nested_contract(pool, w);
+    calls.fetch_add(1);
+  });
+  EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
@@ -116,19 +151,119 @@ TEST(ThreadPool, PostedTasksAllRunOnWorkers) {
   EXPECT_EQ(ran.load(), kTasks);
 }
 
-TEST(ThreadPool, ParallelForInsideTaskRunsInline) {
+TEST(ThreadPool, ParallelForInsideTaskSharesItems) {
   ThreadPool pool(2);
-  std::atomic<int> total{0};
+  std::atomic<int> calls{0};
   pool.post([&](int w) {
-    // Nested data parallelism from a posted task must not deadlock on the
-    // full-pool barrier; it degrades to an inline loop on this worker.
-    pool.parallel_for(7, [&](int, int inner_w) {
-      EXPECT_EQ(inner_w, w);
-      total.fetch_add(1);
+    // Nested data parallelism from a posted task shares its items with the
+    // idle workers instead of deadlocking on the full-pool barrier.
+    expect_nested_contract(pool, w);
+    calls.fetch_add(1);
+  });
+  while (pool.pending_tasks() > 0) std::this_thread::yield();
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(ThreadPool, IdleWorkersHelpANestedCall) {
+  ThreadPool pool(4);
+  std::atomic<bool> helped{false};
+  std::atomic<int> caller_items{0};
+  pool.post([&](int caller) {
+    // More items than the three helpers can hold, and a helper holds its
+    // item until the caller has started one: the caller takes an item.
+    pool.parallel_for(2 * pool.size() + 1, [&](int, int w) {
+      if (w != caller) {
+        helped.store(true);
+        EXPECT_TRUE(wait_until([&] { return caller_items.load() > 0; }));
+      } else if (caller_items.fetch_add(1) == 0) {
+        // The caller's first item holds until another worker has run one.
+        EXPECT_TRUE(wait_until([&] { return helped.load(); }));
+      }
     });
   });
   while (pool.pending_tasks() > 0) std::this_thread::yield();
-  EXPECT_EQ(total.load(), 7);
+  EXPECT_TRUE(helped.load());
+  EXPECT_GE(caller_items.load(), 1);
+}
+
+TEST(ThreadPool, NestedCallCompletesAloneWhenOthersAreBusy) {
+  ThreadPool pool(3);
+  std::atomic<int> blockers_started{0};
+  std::atomic<bool> release{false};
+  for (int b = 0; b < 2; ++b)
+    pool.post([&](int) {
+      blockers_started.fetch_add(1);
+      EXPECT_TRUE(wait_until([&] { return release.load(); }));
+    });
+  ASSERT_TRUE(wait_until([&] { return blockers_started.load() == 2; }));
+  // Both other workers are inside tasks: the caller runs every item.
+  std::atomic<int> ran{0}, foreign{0};
+  std::atomic<bool> finished{false};
+  pool.post([&](int caller) {
+    pool.parallel_for(32, [&](int, int w) {
+      ran.fetch_add(1);
+      if (w != caller) foreign.fetch_add(1);
+    });
+    finished.store(true);
+  });
+  EXPECT_TRUE(wait_until([&] { return finished.load(); }));
+  release.store(true);
+  while (pool.pending_tasks() > 0) std::this_thread::yield();
+  EXPECT_EQ(ran.load(), 32);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ThreadPool, ConcurrentNestedCallsFromTwoTasks) {
+  ThreadPool pool(4);
+  constexpr int kItems = 300;
+  std::vector<std::atomic<int>> hits_a(kItems), hits_b(kItems);
+  std::atomic<int> started{0};
+  for (auto* hits : {&hits_a, &hits_b})
+    pool.post([&, hits](int) {
+      // Both calls are open at once: each task waits for the other first.
+      started.fetch_add(1);
+      EXPECT_TRUE(wait_until([&] { return started.load() == 2; }));
+      pool.parallel_for(kItems, [&](int i, int w) {
+        EXPECT_GE(w, 0);
+        EXPECT_LT(w, 4);
+        (*hits)[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+    });
+  while (pool.pending_tasks() > 0) std::this_thread::yield();
+  for (int i = 0; i < kItems; ++i) {
+    EXPECT_EQ(hits_a[static_cast<std::size_t>(i)].load(), 1) << i;
+    EXPECT_EQ(hits_b[static_cast<std::size_t>(i)].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPool, HelperExceptionReachesTheNestedCaller) {
+  ThreadPool pool(4);
+  std::atomic<bool> helper_threw{false};
+  std::atomic<bool> caught{false};
+  pool.post([&](int caller) {
+    try {
+      pool.parallel_for(16, [&](int, int w) {
+        if (w != caller) {
+          helper_threw.store(true);
+          throw std::runtime_error("helper item failed");
+        }
+        // The caller holds its item until a helper has thrown.
+        EXPECT_TRUE(wait_until([&] { return helper_threw.load(); }));
+      });
+    } catch (const std::runtime_error&) {
+      caught.store(true);
+    }
+  });
+  while (pool.pending_tasks() > 0) std::this_thread::yield();
+  EXPECT_TRUE(helper_threw.load());
+  EXPECT_TRUE(caught.load());
+
+  // The pool survives: nested and external calls still run every item.
+  std::atomic<int> n{0};
+  pool.post([&](int) { pool.parallel_for(8, [&](int, int) { n.fetch_add(1); }); });
+  while (pool.pending_tasks() > 0) std::this_thread::yield();
+  pool.parallel_for(8, [&](int, int) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 16);
 }
 
 // ------------------------------------------------------------- record merge

@@ -20,6 +20,7 @@
 #include "core/conv_engine.hpp"
 #include "dnn/models.hpp"
 #include "runtime/batch_scheduler.hpp"
+#include "runtime/fault_injector.hpp"
 #include "runtime/work_graph.hpp"
 #include "test_util.hpp"
 
@@ -204,6 +205,123 @@ TEST(WorkGraph, OverlapStartsBeforePreviousBatchCompletes) {
               0)
         << "batch " << k;
   }
+}
+
+// A batch made only of barrier tasks that fan out: the other workers are idle
+// while each barrier runs, so they take its nested items, and their time
+// counts as busy time of the batch.
+TEST(WorkGraph, HelperTimeCountsTowardOccupancy) {
+  constexpr int kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  WorkGraph graph(pool);
+  int keys[3] = {};
+  GraphBatchSpec spec;
+  spec.items = 1;
+  spec.chunks = kWorkers;
+  for (int li = 0; li < 3; ++li) {
+    GraphLayerSpec L;
+    L.barrier = true;
+    L.inputs = {li - 1};
+    L.out_key = &keys[li];
+    L.run = [&pool](int, int, int, dnn::LayerRecord&) {
+      pool.parallel_for(32, [](int, int) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+    };
+    spec.layers.push_back(std::move(L));
+  }
+  ExecStats stats;
+  spec.on_done = [&](GraphBatchResult&& res) { stats = res.stats; };
+  graph.launch(std::move(spec));
+  graph.drain();
+  EXPECT_EQ(stats.workers, kWorkers);
+  EXPECT_GT(stats.helper_seconds, 0.0);
+  EXPECT_GT(stats.busy_seconds, stats.helper_seconds);
+  EXPECT_GT(stats.occupancy(), 1.0 / kWorkers);
+}
+
+// A batch-fused weight-resident layer is one barrier task, but its GEMM
+// M-panels are shared with the idle workers. Under this plan every conv of
+// the truncated net is batch-fused and the maxpool kernels never fan out, so
+// helper time can only come from the barrier layers' panels.
+TEST(WorkGraph, BatchFusedBarrierPanelsRunOnSeveralWorkers) {
+  auto net = dnn::build_vgg16(32, 5);
+  core::EnginePolicy resident = core::EnginePolicy::fused();
+  resident.weight_resident = true;
+  constexpr int kBatch = 8;
+
+  vla::VectorEngine eng(512);
+  dnn::ExecContext ctx(eng);
+  core::ConvolutionEngine ref_engine(resident);
+  ref_engine.install(ctx);
+  ref_engine.prepare(*net);
+  dnn::Tensor in(kBatch, net->in_c(), net->in_h(), net->in_w());
+  in.randomize_batch(4321, 0.0f, 1.0f);
+  const dnn::Tensor& fwd_out = net->forward(ctx, in);
+  const std::vector<float> fwd(fwd_out.data(), fwd_out.data() + fwd_out.size());
+
+  const SchedRun graph =
+      run_sched(*net, resident, kBatch, 4, ExecutorKind::Graph);
+  ASSERT_EQ(graph.output.size(), fwd.size());
+  EXPECT_EQ(std::memcmp(graph.output.data(), fwd.data(),
+                        fwd.size() * sizeof(float)),
+            0);
+  int fused_convs = 0;
+  for (const auto& r : graph.records)
+    if (r.algo.find("+batch") != std::string::npos && r.algo != "fc+batch")
+      ++fused_convs;
+  EXPECT_GT(fused_convs, 0);
+  EXPECT_GT(graph.exec.helper_seconds, 0.0);
+}
+
+// Per-item isolation with the intra-op pool on every worker context: an
+// injected item failure sends the batch-fused layers down the per-item path
+// (whose kernels fan out from inside the barrier task); every item that did
+// not fail stays bit-identical to the fault-free run.
+TEST(WorkGraph, ItemFailureIsolationHoldsWithWorkSharing) {
+  auto net = dnn::build_vgg16(32, 5);
+  core::EnginePolicy resident = core::EnginePolicy::fused();
+  resident.weight_resident = true;
+  constexpr int kBatch = 8;
+  const auto make_in = [&] {
+    dnn::Tensor in(kBatch, net->in_c(), net->in_h(), net->in_w());
+    in.randomize_batch(77);
+    return in;
+  };
+
+  const auto run = [&](FaultInjector* inj) {
+    core::ConvolutionEngine engine(resident);
+    SchedulerConfig cfg;
+    cfg.threads = 4;
+    cfg.fault_injector = inj;
+    BatchScheduler sched(engine, cfg);
+    return sched.wait(sched.submit(*net, make_in()));
+  };
+  const BatchResult ref = run(nullptr);
+  ASSERT_TRUE(ref.item_errors.empty());
+
+  // Seed 2 fails some, not all, items at the first per-item layer (the
+  // maxpool); the conv layers after it then run per item.
+  FaultPlan plan;
+  plan.seed = 2;
+  plan.item_fail_prob = 0.25;
+  FaultInjector inj(plan);
+  const BatchResult res = run(&inj);
+  ASSERT_EQ(res.item_errors.size(), static_cast<std::size_t>(kBatch));
+  int failed = 0;
+  for (int b = 0; b < kBatch; ++b) {
+    if (res.item_errors[static_cast<std::size_t>(b)] != nullptr) {
+      ++failed;
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(res.output.item_data(b), ref.output.item_data(b),
+                          res.output.item_size() * sizeof(float)),
+              0)
+        << "item " << b;
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_LT(failed, kBatch);
+  EXPECT_GT(res.exec.helper_seconds, 0.0);
 }
 
 // Batches that share NO tensors build no hazard edges against each other;
