@@ -231,37 +231,53 @@ void Gemm6::micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
                         i0, j0, beta0, epi);
     return;
   }
-  const int unroll = cfg_.unroll_factor;
-  // b_stride == -1 flags the packed micro-panel layout (see pack_b_panel).
-  const bool b_packed = b_stride < 0;
-  const int panel_w = static_cast<int>(eng.vlmax());
-  // A-panel addressing in bytes: a resident reduced-precision image stores
-  // 2-byte (bf16) or 1-byte (int8) elements in the identical panel
-  // geometry, which is precisely where the weight-stream DRAM saving comes
-  // from — the k-walk touches half / a quarter of the cache lines.
-  const auto* a_bytes = static_cast<const std::uint8_t*>(a.data);
-  const std::size_t a_elem = pack_elem_bytes(a.fmt);
   dispatch_a_format(a.fmt, alpha, [&](auto fmt, auto scaled) {
     constexpr PackFormat kFmt = decltype(fmt)::value;
+    // A-panel addressing in bytes: a resident reduced-precision image stores
+    // 2-byte (bf16) or 1-byte (int8) elements in the identical panel
+    // geometry, which is precisely where the weight-stream DRAM saving comes
+    // from — the k-walk touches half / a quarter of the cache lines.
+    constexpr std::size_t kElem = pack_elem_bytes(kFmt);
+    // Per-call invariants live in locals: every engine op may call out to
+    // the simulator, after which anything reached through this closure is
+    // re-read — once per FMA in the innermost loop.
+    vla::VectorEngine& e = eng;
+    const bool prefetch = cfg_.prefetch;
+    const int unroll = cfg_.unroll_factor;
+    const float scale = alpha;
+    const auto* const a_base = static_cast<const std::uint8_t*>(a.data);
+    const std::size_t a_row = static_cast<std::size_t>(a.stride) * kElem;
+    const auto panel_w = static_cast<std::size_t>(e.vlmax());
+    // b_stride == -1 flags the packed micro-panel layout (see pack_b_panel):
+    // a strip's kc rows are panel_w floats apart.
+    const bool b_packed = b_stride < 0;
+    const std::size_t b_step =
+        b_packed ? panel_w : static_cast<std::size_t>(b_stride);
     for (int j = 0; j < nc;) {
       const auto gvl =
-          static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
-      eng.scalar_ops(2);
+          static_cast<int>(e.setvl(static_cast<std::size_t>(nc - j)));
+      e.scalar_ops(2);
+      // Column j of B at k = 0.
+      const float* const b_col =
+          b_packed ? b_panel + (static_cast<std::size_t>(j) / panel_w) *
+                                   static_cast<std::size_t>(kc) * panel_w
+                   : b_panel + j;
       for (int i = 0; i < mc; i += unroll) {
         const int rows = std::min(unroll, mc - i);
-        eng.scalar_ops(3);
+        e.scalar_ops(3);
+        float* const c_tile =
+            C + static_cast<std::size_t>(i0 + i) * ldc + j0 + j;
+        const std::uint8_t* const a_tile =
+            a_base + static_cast<std::size_t>(i) * a_row;
 
-        if (cfg_.prefetch) {
+        if (prefetch) {
           // Paper Fig. 3 lines 11-13: C tile into L1, packed panels into L2.
           for (int u = 0; u < rows; ++u)
-            eng.prefetch(
-                C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j,
-                static_cast<std::size_t>(gvl) * sizeof(float), 1);
-          eng.prefetch(
-              a_bytes + static_cast<std::size_t>(i) * a.stride * a_elem,
-              static_cast<std::size_t>(rows) * a.stride * a_elem, 2);
-          eng.prefetch(b_panel + static_cast<std::size_t>(j),
-                       static_cast<std::size_t>(gvl) * sizeof(float), 2);
+            e.prefetch(c_tile + static_cast<std::size_t>(u) * ldc,
+                       static_cast<std::size_t>(gvl) * sizeof(float), 1);
+          e.prefetch(a_tile, static_cast<std::size_t>(rows) * a_row, 2);
+          e.prefetch(b_panel + static_cast<std::size_t>(j),
+                     static_cast<std::size_t>(gvl) * sizeof(float), 2);
         }
 
         for (int u = 0; u < rows; ++u) {
@@ -269,42 +285,35 @@ void Gemm6::micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
             // First k-panel of a fused conv: the accumulator starts at zero
             // instead of loading the (would-be zero-filled) C tile — this is
             // what eliminates both the fill_cpu pass and the first C read.
-            eng.vbroadcast(u, 0.0f);
+            e.vbroadcast(u, 0.0f);
           } else {
-            eng.vload(u,
-                      C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j);
+            e.vload(u, c_tile + static_cast<std::size_t>(u) * ldc);
           }
         }
 
         for (int k = 0; k < kc; ++k) {
-          const float* b_addr =
-              b_packed
-                  ? b_panel +
-                        (static_cast<std::size_t>(j) / panel_w) * kc *
-                            panel_w +
-                        static_cast<std::size_t>(k) * panel_w
-                  : b_panel + static_cast<std::size_t>(k) * b_stride + j;
-          if (cfg_.prefetch && (k & 15) == 0) {
+          const float* const b_addr =
+              b_col + static_cast<std::size_t>(k) * b_step;
+          // Column k of the A tile; its rows are a_row bytes apart.
+          const std::uint8_t* const a_col =
+              a_tile + static_cast<std::size_t>(k) * kElem;
+          if (prefetch && (k & 15) == 0) {
             // Fig. 3 lines 16-17: stream the next packed lines into L1.
-            eng.prefetch(b_addr, 64, 1);
-            eng.prefetch(
-                a_bytes +
-                    (static_cast<std::size_t>(i) * a.stride + k) * a_elem,
-                64, 1);
+            e.prefetch(b_addr, 64, 1);
+            e.prefetch(a_col, 64, 1);
           }
-          eng.vload(kVB, b_addr);
-          eng.scalar_ops(2);
+          e.vload(kVB, b_addr);
+          e.scalar_ops(2);
           for (int u = 0; u < rows; ++u) {
-            const std::uint8_t* a_ptr =
-                a_bytes +
-                (static_cast<std::size_t>(i + u) * a.stride + k) * a_elem;
-            eng.scalar_mem(a_ptr, a_elem, false);
-            float av = load_a<kFmt>(eng, a_ptr);
+            const std::uint8_t* const a_ptr =
+                a_col + static_cast<std::size_t>(u) * a_row;
+            e.scalar_mem(a_ptr, kElem, false);
+            float av = load_a<kFmt>(e, a_ptr);
             if constexpr (decltype(scaled)::value) {
-              av *= alpha;
-              eng.scalar_ops(1);
+              av *= scale;
+              e.scalar_ops(1);
             }
-            eng.vfma_scalar(u, av, kVB);
+            e.vfma_scalar(u, av, kVB);
           }
         }
 
@@ -316,18 +325,18 @@ void Gemm6::micro_kernel(vla::VectorEngine& eng, int mc, int nc, int kc,
               static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j;
           if (epi != nullptr) {
             dnn::apply_channel_epilogue(
-                eng, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)],
+                e, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)],
                 u, kVB);
             if (epi->residual != nullptr) {
               // Fused shortcut: the skip tensor shares C's layout, so the
               // addend for this tile slice sits at the same offset (kVTmp is
               // dead outside the packing stages).
-              eng.vload(kVB, epi->residual + c_off);
-              eng.vadd(u, u, kVB);
-              dnn::apply_activation_reg(eng, epi->residual_act, u, kVTmp);
+              e.vload(kVB, epi->residual + c_off);
+              e.vadd(u, u, kVB);
+              dnn::apply_activation_reg(e, epi->residual_act, u, kVTmp);
             }
           }
-          eng.vstore(u, C + c_off);
+          e.vstore(u, C + c_off);
         }
       }
       j += gvl;
@@ -341,9 +350,6 @@ void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
                                 int ldc, int i0, int j0, bool beta0,
                                 const dnn::EpilogueDesc* epi) {
   const PackedWeights& img = *a.sparse;
-  const bool b_packed = b_stride < 0;
-  const int panel_w = static_cast<int>(eng.vlmax());
-  const std::size_t a_elem = img.elem_bytes();
   const int nchunks = (kc + kSparseBlockK - 1) / kSparseBlockK;
   // Rows advance in the sparse granule (kSparseBlockM) rather than the
   // configured unroll: each output element's k-walk is strictly ascending
@@ -352,44 +358,57 @@ void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
   // granule-aligned (block_m % kSparseBlockM == 0).
   dispatch_a_format(img.format(), alpha, [&](auto fmt, auto scaled) {
     constexpr PackFormat kFmt = decltype(fmt)::value;
+    // The sparse formats store the dense formats' element widths.
+    constexpr std::size_t kElem = pack_elem_bytes(kFmt);
+    // Per-call invariants in locals, as in micro_kernel.
+    vla::VectorEngine& e = eng;
+    const bool prefetch = cfg_.prefetch;
+    const float scale = alpha;
+    const auto panel_w = static_cast<std::size_t>(e.vlmax());
+    const bool b_packed = b_stride < 0;
+    const std::size_t b_step =
+        b_packed ? panel_w : static_cast<std::size_t>(b_stride);
     for (int j = 0; j < nc;) {
       const auto gvl =
-          static_cast<int>(eng.setvl(static_cast<std::size_t>(nc - j)));
-      eng.scalar_ops(2);
+          static_cast<int>(e.setvl(static_cast<std::size_t>(nc - j)));
+      e.scalar_ops(2);
+      const float* const b_col =
+          b_packed ? b_panel + (static_cast<std::size_t>(j) / panel_w) *
+                                   static_cast<std::size_t>(kc) * panel_w
+                   : b_panel + j;
       for (int i = 0; i < mc; i += kSparseBlockM) {
         const int rows = std::min(kSparseBlockM, mc - i);
-        eng.scalar_ops(3);
+        e.scalar_ops(3);
+        float* const c_tile =
+            C + static_cast<std::size_t>(i0 + i) * ldc + j0 + j;
         // One bitmap + offset read per (strip, row block); both words live
         // in the image's index structure, so the weight-DRAM watch sees
         // them.
         const std::size_t seg = img.sparse_segment(i0 + i, a.k1);
         const std::uint64_t* bits_w = img.sparse_bitmap_word(seg);
         const std::uint64_t* offs_w = img.sparse_offset_word(seg);
-        eng.scalar_mem(bits_w, sizeof(std::uint64_t), false);
-        eng.scalar_mem(offs_w, sizeof(std::uint64_t), false);
-        eng.scalar_ops(2);
+        e.scalar_mem(bits_w, sizeof(std::uint64_t), false);
+        e.scalar_mem(offs_w, sizeof(std::uint64_t), false);
+        e.scalar_ops(2);
         const std::uint64_t bits = *bits_w;
         const auto* vals =
             static_cast<const std::uint8_t*>(img.sparse_values(seg));
 
-        if (cfg_.prefetch) {
+        if (prefetch) {
           for (int u = 0; u < rows; ++u)
-            eng.prefetch(
-                C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j,
-                static_cast<std::size_t>(gvl) * sizeof(float), 1);
-          eng.prefetch(
-              vals, static_cast<std::size_t>(rows) * kSparseBlockK * a_elem,
-              2);
-          eng.prefetch(b_panel + static_cast<std::size_t>(j),
-                       static_cast<std::size_t>(gvl) * sizeof(float), 2);
+            e.prefetch(c_tile + static_cast<std::size_t>(u) * ldc,
+                       static_cast<std::size_t>(gvl) * sizeof(float), 1);
+          e.prefetch(vals,
+                     static_cast<std::size_t>(rows) * kSparseBlockK * kElem, 2);
+          e.prefetch(b_panel + static_cast<std::size_t>(j),
+                     static_cast<std::size_t>(gvl) * sizeof(float), 2);
         }
 
         for (int u = 0; u < rows; ++u) {
           if (beta0) {
-            eng.vbroadcast(u, 0.0f);
+            e.vbroadcast(u, 0.0f);
           } else {
-            eng.vload(u,
-                      C + static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j);
+            e.vload(u, c_tile + static_cast<std::size_t>(u) * ldc);
           }
         }
 
@@ -397,34 +416,33 @@ void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
         // AND its 16-iteration FMA run — and the compacted stream means the
         // kept blocks it jumps between are still contiguous in memory.
         for (int cb = 0; cb < nchunks; ++cb) {
-          eng.scalar_ops(1);  // the bit test
+          e.scalar_ops(1);  // the bit test
           if ((bits & (1ull << cb)) == 0) continue;
           const int cw = std::min(kSparseBlockK, kc - cb * kSparseBlockK);
-          if (cfg_.prefetch) eng.prefetch(vals, 64, 1);
+          // Rows of the kept block are cw elements apart.
+          const std::size_t a_row = static_cast<std::size_t>(cw) * kElem;
+          if (prefetch) e.prefetch(vals, 64, 1);
           for (int c = 0; c < cw; ++c) {
             const int k = cb * kSparseBlockK + c;
-            const float* b_addr =
-                b_packed
-                    ? b_panel +
-                          (static_cast<std::size_t>(j) / panel_w) * kc *
-                              panel_w +
-                          static_cast<std::size_t>(k) * panel_w
-                    : b_panel + static_cast<std::size_t>(k) * b_stride + j;
-            eng.vload(kVB, b_addr);
-            eng.scalar_ops(2);
+            const float* const b_addr =
+                b_col + static_cast<std::size_t>(k) * b_step;
+            const std::uint8_t* const a_col =
+                vals + static_cast<std::size_t>(c) * kElem;
+            e.vload(kVB, b_addr);
+            e.scalar_ops(2);
             for (int u = 0; u < rows; ++u) {
-              const std::uint8_t* a_ptr =
-                  vals + (static_cast<std::size_t>(u) * cw + c) * a_elem;
-              eng.scalar_mem(a_ptr, a_elem, false);
-              float av = load_a<kFmt>(eng, a_ptr);
+              const std::uint8_t* const a_ptr =
+                  a_col + static_cast<std::size_t>(u) * a_row;
+              e.scalar_mem(a_ptr, kElem, false);
+              float av = load_a<kFmt>(e, a_ptr);
               if constexpr (decltype(scaled)::value) {
-                av *= alpha;
-                eng.scalar_ops(1);
+                av *= scale;
+                e.scalar_ops(1);
               }
-              eng.vfma_scalar(u, av, kVB);
+              e.vfma_scalar(u, av, kVB);
             }
           }
-          vals += static_cast<std::size_t>(rows) * cw * a_elem;
+          vals += static_cast<std::size_t>(rows) * a_row;
         }
 
         // beta0 stores and the one-pass epilogue run for EVERY row block,
@@ -434,15 +452,15 @@ void Gemm6::micro_kernel_sparse(vla::VectorEngine& eng, int mc, int nc,
               static_cast<std::size_t>(i0 + i + u) * ldc + j0 + j;
           if (epi != nullptr) {
             dnn::apply_channel_epilogue(
-                eng, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)],
+                e, *epi, epi_params_[static_cast<std::size_t>(i0 + i + u)],
                 u, kVB);
             if (epi->residual != nullptr) {
-              eng.vload(kVB, epi->residual + c_off);
-              eng.vadd(u, u, kVB);
-              dnn::apply_activation_reg(eng, epi->residual_act, u, kVTmp);
+              e.vload(kVB, epi->residual + c_off);
+              e.vadd(u, u, kVB);
+              dnn::apply_activation_reg(e, epi->residual_act, u, kVTmp);
             }
           }
-          eng.vstore(u, C + c_off);
+          e.vstore(u, C + c_off);
         }
       }
       j += gvl;

@@ -20,7 +20,11 @@ const char* to_string(PackFormat f) {
 
 float int8_channel_scale(const float* row, int k) {
   float amax = 0.0f;
-  for (int c = 0; c < k; ++c) amax = std::max(amax, std::fabs(row[c]));
+  for (int c = 0; c < k; ++c) {
+    VLACNN_REQUIRE(std::isfinite(row[c]),
+                   "int8 quantization needs finite weights");
+    amax = std::max(amax, std::fabs(row[c]));
+  }
   return amax > 0.0f ? amax / 127.0f : 1.0f;
 }
 

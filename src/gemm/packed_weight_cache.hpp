@@ -147,6 +147,9 @@ void apply_block_mask(float* weights, int m, int k, int block_k,
 /// Symmetric per-channel int8 scale: amax/127, or 1.0 for an all-zero
 /// channel (whose quantized values are all exactly 0 either way — the scale
 /// only needs to be finite and non-zero so dequantization stays well-defined).
+/// Throws InvalidArgument for a non-finite weight, so the int8 pack rejects
+/// it: std::max would drop a NaN and return a finite scale, an Inf would make
+/// every quantized value of the row NaN, and neither has an int8 value.
 [[nodiscard]] float int8_channel_scale(const float* row, int k);
 
 /// Immutable pack-once image of one weight matrix A (M×K, row-major,

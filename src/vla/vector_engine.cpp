@@ -9,10 +9,11 @@ bool is_pow2(unsigned v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
 VectorEngine::VectorEngine(unsigned vlen_bits)
-    : vlen_bits_(vlen_bits), gvl_(vlen_bits / 32) {
+    : vlen_bits_(vlen_bits), vlmax_(vlen_bits / 32), gvl_(vlmax_) {
   VLACNN_REQUIRE(is_pow2(vlen_bits) && vlen_bits >= 128 && vlen_bits <= 65536,
                  "vector length must be a power of two in [128, 65536] bits");
   regfile_.assign(static_cast<std::size_t>(kNumVregs) * vlmax(), 0.0f);
+  rf_ = regfile_.data();
   predfile_.assign(static_cast<std::size_t>(kNumPregs) * vlmax(), 0);
 }
 
@@ -224,7 +225,7 @@ void VectorEngine::timed_prefetch(const void* addr, std::size_t bytes,
 // ---------------- arithmetic ----------------
 
 void VectorEngine::vdiv(Vreg vd, Vreg va, Vreg vb) {
-  binop(vd, va, vb, [](float a, float b) { return a / b; });
+  binop(vd, va, vb, [](auto a, auto b) { return a / b; });
 }
 
 void VectorEngine::vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb) {

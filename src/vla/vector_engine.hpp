@@ -3,14 +3,53 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "sim/sim_context.hpp"
 
+/// Marks a lane loop as free of loop-carried dependences. Two register
+/// operands are either the same register or disjoint, and a memory operand
+/// never lies inside the private register file (see VectorEngine), so lane l
+/// of the destination depends only on lane l of each source. Without this
+/// the vectorizer guards every such loop with a runtime overlap check and a
+/// scalar fallback (`__restrict` on the inlined ops' locals does not reach
+/// it).
+#if defined(__clang__)
+#define VLACNN_LANE_LOOP _Pragma("clang loop vectorize(assume_safety)")
+#elif defined(__GNUC__)
+#define VLACNN_LANE_LOOP _Pragma("GCC ivdep")
+#else
+#define VLACNN_LANE_LOOP
+#endif
+
 namespace vlacnn::vla {
+
+namespace simd {
+/// Four fp32 lanes as one GCC/Clang generic vector, lowered to whatever
+/// SIMD the target has (SSE2 on baseline x86-64). Each lane of an
+/// arithmetic op on it is the scalar IEEE op, so the results are
+/// bit-identical to a scalar lane loop.
+using F32x4 = float __attribute__((vector_size(16)));
+inline F32x4 load4(const float* p) {
+  F32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store4(float* p, F32x4 v) { std::memcpy(p, &v, sizeof v); }
+/// `x` in every lane of a T (float or F32x4), bit for bit.
+template <typename T>
+T splat(float x) {
+  if constexpr (std::is_same_v<T, float>)
+    return x;
+  else
+    return T{x, x, x, x};
+}
+}  // namespace simd
 
 /// Architectural vector register number (v0..v31).
 using Vreg = int;
@@ -49,6 +88,19 @@ using Preg = int;
 /// contract it into a fused multiply-add and change the rounding. The
 /// library therefore builds with `-ffp-contract=off` (root CMakeLists.txt),
 /// keeping the fp32 paths 0-ulp against the sequential reference.
+///
+/// Register operands. Each register is its own vlmax()-float slice of one
+/// register file, so two register operands of an op are either the same
+/// register (`vadd(u, u, b)`, `vfma(u, u, u)`) or disjoint; they never
+/// partially overlap, and no memory operand lies inside the file. Lane l of
+/// an element-wise op therefore reads only lane l of its sources: the shared
+/// lane loop (`lanes`) loads a whole 16-lane block before storing it, and
+/// its remainder loop is declared free of loop-carried dependences
+/// (VLACNN_LANE_LOOP), instead of either being guarded by a runtime overlap
+/// check. The file's base pointer and VLMAX are cached as members, so a
+/// register's address is one multiply-add; the engine is non-copyable so
+/// that cached pointer can never point into another engine's file. Engines
+/// are held by reference or `unique_ptr`.
 class VectorEngine {
  public:
   static constexpr unsigned kNumVregs = 32;
@@ -58,10 +110,12 @@ class VectorEngine {
   explicit VectorEngine(unsigned vlen_bits);
   /// Instrumented engine; vector length comes from the machine config.
   explicit VectorEngine(sim::SimContext& ctx);
+  VectorEngine(const VectorEngine&) = delete;
+  VectorEngine& operator=(const VectorEngine&) = delete;
 
   [[nodiscard]] unsigned vlen_bits() const { return vlen_bits_; }
   /// VLMAX for 32-bit elements (svcntw() in SVE terms).
-  [[nodiscard]] std::size_t vlmax() const { return vlen_bits_ / 32; }
+  [[nodiscard]] std::size_t vlmax() const { return vlmax_; }
   [[nodiscard]] sim::SimContext* context() const { return ctx_; }
 
   // ---------------- RVV-style strip mining ----------------
@@ -90,9 +144,7 @@ class VectorEngine {
   void vload(Vreg vd, const float* src) {
     check_vreg(vd);
     const std::size_t n = gvl_;
-    float* __restrict d = reg(vd);
-    const float* __restrict s = src;
-    for (std::size_t l = 0; l < n; ++l) d[l] = s[l];
+    lanes(n, reg(vd), [](auto x) { return x; }, src);
     count_mem(n * sizeof(float), false);
     if (ctx_ != nullptr) [[unlikely]]
       timed_vmem(sim::VopClass::Load, vd, {}, n, src, n * sizeof(float), false);
@@ -101,9 +153,7 @@ class VectorEngine {
   void vstore(Vreg vs, float* dst) {
     check_vreg(vs);
     const std::size_t n = gvl_;
-    const float* __restrict s = reg(vs);
-    float* __restrict d = dst;
-    for (std::size_t l = 0; l < n; ++l) d[l] = s[l];
+    lanes(n, dst, [](auto x) { return x; }, reg(vs));
     count_mem(n * sizeof(float), true);
     if (ctx_ != nullptr) [[unlikely]]
       timed_vmem(sim::VopClass::Store, -1, {vs}, n, dst, n * sizeof(float),
@@ -167,7 +217,8 @@ class VectorEngine {
   // ---------------- arithmetic ----------------
   //
   // Register operands may name the same register (`vadd(u, u, b)`), so the
-  // lane pointers of register-register ops are not `__restrict`.
+  // lane pointers of register-register ops are not `__restrict`; `lanes`
+  // relies on the same-or-disjoint rule instead (see the class comment).
 
   void vbroadcast(Vreg vd, float x) {
     check_vreg(vd);
@@ -179,20 +230,21 @@ class VectorEngine {
   }
   /// vd[i] = a[i] + b[i], etc. All use gvl() elements.
   void vadd(Vreg vd, Vreg va, Vreg vb) {
-    binop(vd, va, vb, [](float a, float b) { return a + b; });
+    binop(vd, va, vb, [](auto a, auto b) { return a + b; });
   }
   void vsub(Vreg vd, Vreg va, Vreg vb) {
-    binop(vd, va, vb, [](float a, float b) { return a - b; });
+    binop(vd, va, vb, [](auto a, auto b) { return a - b; });
   }
   void vmul(Vreg vd, Vreg va, Vreg vb) {
-    binop(vd, va, vb, [](float a, float b) { return a * b; });
+    binop(vd, va, vb, [](auto a, auto b) { return a * b; });
   }
   void vdiv(Vreg vd, Vreg va, Vreg vb);
+  // std::max / std::min, lane-wise: (a < b) ? b : a and (b < a) ? b : a.
   void vmax(Vreg vd, Vreg va, Vreg vb) {
-    binop(vd, va, vb, [](float a, float b) { return std::max(a, b); });
+    binop(vd, va, vb, [](auto a, auto b) { return a < b ? b : a; });
   }
   void vmin(Vreg vd, Vreg va, Vreg vb) {
-    binop(vd, va, vb, [](float a, float b) { return std::min(a, b); });
+    binop(vd, va, vb, [](auto a, auto b) { return b < a ? b : a; });
   }
   /// vacc[i] += va[i] * vb[i]   (vfmacc.vv)
   void vfma(Vreg vacc, Vreg va, Vreg vb) {
@@ -201,9 +253,8 @@ class VectorEngine {
     check_vreg(vb);
     const std::size_t n = gvl_;
     float* acc = reg(vacc);
-    const float* a = reg(va);
-    const float* b = reg(vb);
-    for (std::size_t l = 0; l < n; ++l) acc[l] += a[l] * b[l];
+    lanes(n, acc, [](auto c, auto x, auto y) { return c + x * y; }, acc,
+          reg(va), reg(vb));
     if (ctx_ != nullptr) [[unlikely]]
       ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, va, vb}, n);
   }
@@ -214,19 +265,20 @@ class VectorEngine {
     check_vreg(vb);
     const std::size_t n = gvl_;
     float* acc = reg(vacc);
-    const float* b = reg(vb);
-    for (std::size_t l = 0; l < n; ++l) acc[l] += a * b[l];
+    lanes(n, acc, [a](auto c, auto y) { return c + a * y; }, acc, reg(vb));
     if (ctx_ != nullptr) [[unlikely]]
       ctx_->timing().vop(sim::VopClass::Fma, vacc, {vacc, vb}, n);
   }
   void vadd_scalar(Vreg vd, Vreg va, float b) {
-    map_lanes(vd, va, [b](float a) { return a + b; });
+    map_lanes(vd, va, [b](auto a) { return a + b; });
   }
   void vmul_scalar(Vreg vd, Vreg va, float b) {
-    map_lanes(vd, va, [b](float a) { return a * b; });
+    map_lanes(vd, va, [b](auto a) { return a * b; });
   }
   void vmax_scalar(Vreg vd, Vreg va, float b) {
-    map_lanes(vd, va, [b](float a) { return std::max(a, b); });
+    map_lanes(vd, va, [b](auto a) {
+      return a < b ? simd::splat<decltype(a)>(b) : a;
+    });
   }
   /// Predicated FMA (SVE): only active lanes update.
   void vfma_pred(Vreg vacc, Preg p, Vreg va, Vreg vb);
@@ -286,11 +338,9 @@ class VectorEngine {
   void set_lane(Vreg v, std::size_t i, float x);
 
  private:
-  float* reg(Vreg v) {
-    return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
-  }
+  float* reg(Vreg v) { return rf_ + static_cast<std::size_t>(v) * vlmax_; }
   const float* reg(Vreg v) const {
-    return regfile_.data() + static_cast<std::size_t>(v) * vlmax();
+    return rf_ + static_cast<std::size_t>(v) * vlmax_;
   }
   void check_vreg(Vreg v) const {
     if (v < 0 || v >= static_cast<int>(kNumVregs)) [[unlikely]]
@@ -299,6 +349,40 @@ class VectorEngine {
   [[noreturn]] static void bad_vreg();
   void check_preg(Preg p) const;
 
+  /// Lanes per block of `lanes`: one 64-byte line, four simd::F32x4.
+  static constexpr std::size_t kBlockLanes = 16;
+
+  /// d[l] = f(src[l]...) for l in [0, n): the lane loop of every
+  /// element-wise op. Whole kBlockLanes-lane blocks run as four 4-lane
+  /// vector ops each, every load of a block ahead of its stores, so a
+  /// full-width op at 512 bits is straight-line code; a remainder shorter
+  /// than a block runs a plain lane loop out of line, which keeps the
+  /// inlined op short. `f` takes and returns either simd::F32x4 or float
+  /// lanes, with the same IEEE op per lane.
+  template <typename F, typename... Src>
+  static void lanes(std::size_t n, float* d, F f, const Src*... src) {
+    for (std::size_t l = 0; l < n; l += kBlockLanes) {
+      if (n - l < kBlockLanes) [[unlikely]] {
+        lanes_rest(n - l, d + l, f, (src + l)...);
+        return;
+      }
+      const simd::F32x4 r0 = f(simd::load4(src + l)...);
+      const simd::F32x4 r1 = f(simd::load4(src + l + 4)...);
+      const simd::F32x4 r2 = f(simd::load4(src + l + 8)...);
+      const simd::F32x4 r3 = f(simd::load4(src + l + 12)...);
+      simd::store4(d + l, r0);
+      simd::store4(d + l + 4, r1);
+      simd::store4(d + l + 8, r2);
+      simd::store4(d + l + 12, r3);
+    }
+  }
+  template <typename F, typename... Src>
+  [[gnu::noinline]] static void lanes_rest(std::size_t n, float* d, F f,
+                                           const Src*... src) {
+    VLACNN_LANE_LOOP
+    for (std::size_t l = 0; l < n; ++l) d[l] = f(src[l]...);
+  }
+
   /// d[l] = op(a[l], b[l]) over gvl() lanes, billed as one Arith op.
   template <typename Op>
   void binop(Vreg vd, Vreg va, Vreg vb, Op op) {
@@ -306,10 +390,7 @@ class VectorEngine {
     check_vreg(va);
     check_vreg(vb);
     const std::size_t n = gvl_;
-    float* d = reg(vd);
-    const float* a = reg(va);
-    const float* b = reg(vb);
-    for (std::size_t l = 0; l < n; ++l) d[l] = op(a[l], b[l]);
+    lanes(n, reg(vd), op, reg(va), reg(vb));
     if (ctx_ != nullptr) [[unlikely]]
       ctx_->timing().vop(sim::VopClass::Arith, vd, {va, vb}, n);
   }
@@ -319,9 +400,7 @@ class VectorEngine {
     check_vreg(vd);
     check_vreg(va);
     const std::size_t n = gvl_;
-    float* d = reg(vd);
-    const float* a = reg(va);
-    for (std::size_t l = 0; l < n; ++l) d[l] = op(a[l]);
+    lanes(n, reg(vd), op, reg(va));
     if (ctx_ != nullptr) [[unlikely]]
       ctx_->timing().vop(sim::VopClass::Arith, vd, {va}, n);
   }
@@ -351,7 +430,9 @@ class VectorEngine {
 
   sim::SimContext* ctx_ = nullptr;
   unsigned vlen_bits_;
+  std::size_t vlmax_;  // vlen_bits_ / 32
   std::size_t gvl_;
+  float* rf_ = nullptr;  // regfile_.data(), fixed after construction
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::vector<float> regfile_;               // kNumVregs * vlmax()

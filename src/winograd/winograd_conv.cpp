@@ -246,35 +246,44 @@ void WinogradConv::tuple_multiply(vla::VectorEngine& eng,
   // within a few hundred KB for the paper's layer widths.
   constexpr int kTileBlock = 16;
 
-  for (int tb0 = 0; tb0 < plan.tiles; tb0 += kTileBlock) {
-    const int tb_end = std::min(tb0 + kTileBlock, plan.tiles);
+  // Per-call invariants live in locals: every engine op may call out to the
+  // simulator, after which anything reached through `d`, `plan` or `this`
+  // is re-read — once per FMA in the innermost loop.
+  const int in_c = d.in_c;
+  const int tiles = plan.tiles;
+  const float* const v_base = v_buf_.data();
+  float* const m_base = m_buf_.data();
+  // Floats between the V rows of consecutive input channels of one tile.
+  const std::size_t v_ic_step = static_cast<std::size_t>(tiles) * kTileElems;
+
+  for (int tb0 = 0; tb0 < tiles; tb0 += kTileBlock) {
+    const int tb_end = std::min(tb0 + kTileBlock, tiles);
     for (std::size_t e0 = 0; e0 < kTileElems; e0 += vec_e) {
       for (int oc = oc_begin; oc < oc_end; ++oc) {
-        const float* u_oc =
-            u + static_cast<std::size_t>(oc) * d.in_c * kTileElems;
-        float* m_oc = m_buf_.data() +
-                      static_cast<std::size_t>(oc) * plan.tiles * kTileElems;
+        const float* const u_oc =
+            u + static_cast<std::size_t>(oc) * in_c * kTileElems + e0;
+        float* const m_oc = m_base + static_cast<std::size_t>(oc) * v_ic_step;
         for (int t0 = tb0; t0 < tb_end; t0 += kTileUnroll) {
           const int tn = std::min(kTileUnroll, tb_end - t0);
           eng.setvl(std::min(vec_e, kTileElems - e0));
           for (int tt = 0; tt < tn; ++tt) eng.vbroadcast(tt, 0.0f);
-          for (int ic = 0; ic < d.in_c; ++ic) {
-            eng.vload(kURow,
-                      u_oc + static_cast<std::size_t>(ic) * kTileElems + e0);
+          const float* const v_t0 =
+              v_base + static_cast<std::size_t>(t0) * kTileElems + e0;
+          for (int ic = 0; ic < in_c; ++ic) {
+            // V row of channel ic, tile t0; tile t0 + tt follows at tt * 64.
+            const float* const v_row =
+                v_t0 + static_cast<std::size_t>(ic) * v_ic_step;
+            eng.vload(kURow, u_oc + static_cast<std::size_t>(ic) * kTileElems);
             eng.scalar_ops(2);
             for (int tt = 0; tt < tn; ++tt) {
               eng.vload(kVRowBase + tt,
-                        v_buf_.data() +
-                            (static_cast<std::size_t>(ic) * plan.tiles + t0 +
-                             tt) *
-                                kTileElems +
-                            e0);
+                        v_row + static_cast<std::size_t>(tt) * kTileElems);
               eng.vfma(tt, kURow, kVRowBase + tt);
             }
           }
           for (int tt = 0; tt < tn; ++tt)
             eng.vstore(tt, m_oc + (static_cast<std::size_t>(t0) + tt) *
-                                       kTileElems +
+                                      kTileElems +
                                e0);
           eng.scalar_ops(3);
         }

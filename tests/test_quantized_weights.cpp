@@ -140,6 +140,32 @@ TEST(QuantizedWeights, Int8ScaleRecoveryAdversarialRanges) {
   }
 }
 
+TEST(QuantizedWeights, Int8PackRejectsNonFiniteRows) {
+  // Row 0 is finite, row 1 holds a NaN, row 2 an Inf. std::max would drop
+  // the NaN (a finite scale) and the Inf would quantize its row to NaN; the
+  // pack must refuse both instead of storing garbage int8 values.
+  const int k = 40, block_k = 16;
+  std::vector<float> w = test::random_vec(3 * k, 31);
+  w[static_cast<std::size_t>(k) + 7] = std::numeric_limits<float>::quiet_NaN();
+  w[static_cast<std::size_t>(2 * k) + 30] =
+      std::numeric_limits<float>::infinity();
+  EXPECT_GT(int8_channel_scale(w.data(), k), 0.0f);
+  EXPECT_THROW((void)int8_channel_scale(w.data() + k, k), InvalidArgument);
+  EXPECT_THROW((void)int8_channel_scale(w.data() + 2 * k, k), InvalidArgument);
+  EXPECT_THROW(PackedWeights(w.data(), 3, k, block_k,
+                             PackFormat::Int8PerChannel),
+               InvalidArgument);
+  EXPECT_THROW(PackedWeights(w.data() + k, 1, k, block_k,
+                             PackFormat::Int8PerChannel),
+               InvalidArgument);
+  EXPECT_THROW(PackedWeights(w.data() + 2 * k, 1, k, block_k,
+                             PackFormat::Int8PerChannel),
+               InvalidArgument);
+  // The finite row alone still packs.
+  const PackedWeights ok(w.data(), 1, k, block_k, PackFormat::Int8PerChannel);
+  EXPECT_EQ(ok.data_bytes(), static_cast<std::size_t>(k));
+}
+
 TEST(QuantizedWeights, FormatTaggedEntriesCoexistWithPerFormatAccounting) {
   const int m = 8, k = 16, block_k = 8;
   const auto w = test::random_vec(static_cast<std::size_t>(m) * k, 31);

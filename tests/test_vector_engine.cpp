@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,11 @@ namespace vlacnn::vla {
 namespace {
 
 using test::random_vec;
+
+// The engine caches its register file's base pointer; a copy would point
+// into the original's file.
+static_assert(!std::is_copy_constructible_v<VectorEngine>);
+static_assert(!std::is_copy_assignable_v<VectorEngine>);
 
 class VectorEngineTest : public ::testing::TestWithParam<unsigned> {
  protected:
@@ -287,6 +294,47 @@ TEST_P(VectorEngineTest, RegisterBoundsChecked) {
   // A rejected op has no side effects on memory.
   for (float x : buf) EXPECT_EQ(x, 1.0f);
   EXPECT_EQ(eng.mem_bytes_moved(), 0u);
+}
+
+// Two register operands are the same register or disjoint, never partially
+// overlapping: the lane loops rely on that instead of an overlap check.
+// Same-register ops must still compute lane l from lane l alone, at full
+// width and at partial lengths (a sub-block remainder and one block plus a
+// remainder), and leave the lanes past gvl() untouched.
+TEST_P(VectorEngineTest, SameRegisterOperandsMatchScalarLanes) {
+  VectorEngine eng = make();
+  const std::size_t vlmax = eng.vlmax();
+  const auto x = random_vec(vlmax, 40, -2.0f, 2.0f);
+  const auto y = random_vec(vlmax, 41, -2.0f, 2.0f);
+  constexpr Vreg u = 5, w = 6;
+  constexpr float a = 0.75f;
+  const auto check = [&](const std::string& what, auto&& op, auto&& want) {
+    for (const std::size_t n :
+         {vlmax, vlmax - 3, std::min<std::size_t>(vlmax, 21)}) {
+      eng.setvl(vlmax);
+      eng.vload(u, x.data());
+      eng.vload(w, y.data());
+      ASSERT_EQ(eng.setvl(n), n);
+      op();
+      for (std::size_t l = 0; l < vlmax; ++l) {
+        const float expect = l < n ? want(x[l], y[l]) : x[l];
+        EXPECT_EQ(eng.lane(u, l), expect)
+            << what << " gvl=" << n << " lane=" << l;
+      }
+    }
+  };
+  check("vfma(u,u,u)", [&] { eng.vfma(u, u, u); },
+        [](float s, float) { return s + s * s; });
+  check("vfma_scalar(u,a,u)", [&] { eng.vfma_scalar(u, a, u); },
+        [](float s, float) { return s + a * s; });
+  check("vadd(u,u,u)", [&] { eng.vadd(u, u, u); },
+        [](float s, float) { return s + s; });
+  check("vmul(u,u,u)", [&] { eng.vmul(u, u, u); },
+        [](float s, float) { return s * s; });
+  check("vmax(u,u,u)", [&] { eng.vmax(u, u, u); },
+        [](float s, float) { return s; });
+  check("vadd(u,u,w)", [&] { eng.vadd(u, u, w); },
+        [](float s, float t) { return s + t; });
 }
 
 INSTANTIATE_TEST_SUITE_P(VectorLengths, VectorEngineTest,

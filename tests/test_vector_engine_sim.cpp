@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "dnn/exec_context.hpp"
+#include "dnn/layers.hpp"
+#include "gemm/gemm.hpp"
 #include "gemm/gemm_opt6.hpp"
 #include "gemm/packed_weight_cache.hpp"
 #include "sim/sim_context.hpp"
@@ -270,6 +273,51 @@ TEST_P(FastPathKernels, WinogradConv) {
         return out;
       },
       "winograd");
+}
+
+TEST_P(FastPathKernels, Im2colGemm3) {
+  // VGG block 5's route: a 3x3/s1 conv at 4x4 through the vectorized im2col
+  // and gemm_opt3 (N = 16: one full strip at 512 bits, a partial one at
+  // 2048).
+  dnn::ConvDesc d = d_;
+  d.in_h = d.in_w = 4;
+  d.validate();
+  const std::vector<float> in =
+      random_vec(static_cast<std::size_t>(d.in_c) * d.in_h * d.in_w, 18);
+  expect_paths_agree(
+      [&](VectorEngine& eng) {
+        dnn::ExecContext ctx(eng);
+        std::vector<float> out(static_cast<std::size_t>(d.gemm_m()) * d.gemm_n(),
+                               -1.0f);
+        dnn::run_im2col_gemm(ctx, d, in.data(), weights_.data(), out.data(),
+                             gemm::make_gemm_fn(gemm::GemmVariant::Opt3Loop));
+        return out;
+      },
+      "im2col+gemm3");
+}
+
+TEST_P(FastPathKernels, ConnectedForwardBatch) {
+  // The FC layers' batched route: ConnectedLayer::forward_batch is one Gemm6
+  // call with M = batch, over B streamed unpacked and over packed B panels.
+  // 72 outputs leave a partial strip at both vector lengths.
+  dnn::ConnectedLayer layer(200, 72, dnn::Activation::Leaky, 19);
+  dnn::Tensor input(kBatch, 200, 1, 1);
+  input.randomize_batch(20);
+  const std::vector<const dnn::Tensor*> ins{&input};
+  for (const bool pack_b : {false, true}) {
+    gemm::Opt6Config cfg;
+    cfg.pack_b = pack_b;
+    expect_paths_agree(
+        [&](VectorEngine& eng) {
+          dnn::ExecContext ctx(eng);
+          ctx.gemm = gemm::wrap_gemm6(gemm::make_gemm6(cfg));
+          layer.prepare_batch(ins);
+          EXPECT_TRUE(layer.forward_batch(ctx, ins));
+          const dnn::Tensor& out = layer.output();
+          return std::vector<float>(out.data(), out.data() + out.size());
+        },
+        pack_b ? "fc, packed B" : "fc, unpacked B");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SveGem5, FastPathKernels,

@@ -9,11 +9,13 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -118,44 +120,66 @@ TEST(WorkGraph, ForwardAndBothExecutorsShareLayerLabels) {
   expect_same_records(graph.records, fwd, "graph vs forward");
 }
 
-TEST(WorkGraph, BitIdenticalToSerialAcrossModelsBatchesWorkersPlans) {
-  struct PolicyCase {
-    const char* tag;
-    core::EnginePolicy policy;
-  };
-  core::EnginePolicy resident = core::EnginePolicy::fused();
-  resident.weight_resident = true;
-  const PolicyCase policies[] = {
-      {"opt6loop", core::EnginePolicy::opt6loop()},
-      {"fused", core::EnginePolicy::fused()},
-      {"fused+resident", resident},
-  };
-  for (const auto& m : kModels) {
-    auto net = m.build();
-    for (const auto& p : policies) {
-      for (int batch : {1, 2, 4, 8}) {
-        // The serial executor is the reference; it is already known to be
-        // thread-count-invariant, so one reference per (model, plan, batch)
-        // suffices.
-        const SchedRun ref =
-            run_sched(*net, p.policy, batch, 1, ExecutorKind::Serial);
-        for (int threads : {1, 2, 4}) {
-          const std::string tag = std::string(m.tag) + "/" + p.tag +
-                                  " batch=" + std::to_string(batch) +
-                                  " threads=" + std::to_string(threads);
-          const SchedRun graph =
-              run_sched(*net, p.policy, batch, threads, ExecutorKind::Graph);
-          ASSERT_EQ(graph.output.size(), ref.output.size()) << tag;
-          EXPECT_EQ(std::memcmp(graph.output.data(), ref.output.data(),
-                                ref.output.size() * sizeof(float)),
-                    0)
-              << tag;
-          expect_same_records(graph.records, ref.records, tag);
-        }
-      }
+struct PolicyCase {
+  const char* tag;
+  core::EnginePolicy policy;
+};
+
+core::EnginePolicy resident_fused() {
+  core::EnginePolicy p = core::EnginePolicy::fused();
+  p.weight_resident = true;
+  return p;
+}
+
+const PolicyCase kPolicies[] = {
+    {"opt6loop", core::EnginePolicy::opt6loop()},
+    {"fused", core::EnginePolicy::fused()},
+    {"fused_resident", resident_fused()},
+};
+
+// One instance per (model, plan): each runs the whole batch x thread grid
+// against the serial reference, so the grid is split across ctest entries
+// (the sanitizer builds run each well inside the per-test timeout).
+class WorkGraphModelPlan
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(WorkGraphModelPlan, BitIdenticalToSerialAcrossBatchesWorkers) {
+  const ModelCase& m = kModels[std::get<0>(GetParam())];
+  const PolicyCase& p = kPolicies[std::get<1>(GetParam())];
+  auto net = m.build();
+  for (int batch : {1, 2, 4, 8}) {
+    // The serial executor is the reference; it is already known to be
+    // thread-count-invariant, so one reference per (model, plan, batch)
+    // suffices.
+    const SchedRun ref =
+        run_sched(*net, p.policy, batch, 1, ExecutorKind::Serial);
+    for (int threads : {1, 2, 4}) {
+      const std::string tag = std::string(m.tag) + "/" + p.tag +
+                              " batch=" + std::to_string(batch) +
+                              " threads=" + std::to_string(threads);
+      const SchedRun graph =
+          run_sched(*net, p.policy, batch, threads, ExecutorKind::Graph);
+      ASSERT_EQ(graph.output.size(), ref.output.size()) << tag;
+      EXPECT_EQ(std::memcmp(graph.output.data(), ref.output.data(),
+                            ref.output.size() * sizeof(float)),
+                0)
+          << tag;
+      expect_same_records(graph.records, ref.records, tag);
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkGraph, WorkGraphModelPlan,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(std::size(kModels))),
+                       ::testing::Range(0, static_cast<int>(std::size(kPolicies)))),
+    [](const auto& info) {
+      std::string name = std::string(kModels[std::get<0>(info.param)].tag) +
+                         "_" + kPolicies[std::get<1>(info.param)].tag;
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
 
 TEST(WorkGraph, OverlapStartsBeforePreviousBatchCompletes) {
   auto net = dnn::build_vgg16(32, 4);
